@@ -51,7 +51,9 @@ class FlashFFTStencilMethod(StencilMethod):
         if spectrum is None:
             # correlation == convolution with the axis-reversed kernel
             rev = spec.weights[(slice(None, None, -1),) * spec.dims]
-            spectrum = np.fft.rfftn(rev, s=fshape)
+            spectrum = np.fft.rfftn(
+                rev, s=fshape, axes=tuple(range(-len(fshape), 0))
+            )
             self._kernel_cache[key] = spectrum
         return spectrum
 
@@ -60,7 +62,12 @@ class FlashFFTStencilMethod(StencilMethod):
         padded = grid.padded(r)
         fshape = self._fft_shape(spec, grid)
         spec_k = self._kernel_spectrum(spec, fshape)
-        conv = np.fft.irfftn(np.fft.rfftn(padded, s=fshape) * spec_k, s=fshape)
+        axes = tuple(range(-len(fshape), 0))
+        conv = np.fft.irfftn(
+            np.fft.rfftn(padded, s=fshape, axes=axes) * spec_k,
+            s=fshape,
+            axes=axes,
+        )
         # the 'valid' region of the linear convolution starts at 2r per axis
         slices = tuple(slice(2 * r, 2 * r + s) for s in grid.shape)
         return conv[slices]

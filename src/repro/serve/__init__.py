@@ -39,20 +39,11 @@ requests into batched SpTC passes:
 """
 
 from .batching import BatchQueue, DeadlineExceeded, ServeRequest
-from .faults import (
-    FAULT_KINDS,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-)
+from .faults import FaultInjector, FaultPlan, FaultSpec, InjectedFault
 from .metrics import (
     Counter,
-    Gauge,
-    MetricSample,
     MetricsRegistry,
     StreamingHistogram,
-    render_prometheus,
     validate_prometheus_text,
 )
 from .plan_cache import (
@@ -69,12 +60,9 @@ from .telemetry import (
     Histogram,
     ServiceStats,
     ServiceTelemetry,
-    TelemetrySnapshot,
     format_service_report,
 )
 from .tuning import (
-    CandidateResult,
-    TuneReport,
     default_knob_config,
     format_tune_report,
     measure_batch_ms,
@@ -88,17 +76,11 @@ from .tracing import (
     stage_totals,
     to_chrome_trace,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 from .workers import (
-    TEMPORAL_MODES,
-    WORKER_BACKENDS,
-    WORKER_TRANSPORTS,
     RetryPolicy,
-    ServeWorker,
     WorkerCrashed,
     WorkerPool,
-    execute_serve_batch,
     is_transient_failure,
 )
 
@@ -106,7 +88,6 @@ __all__ = [
     "BatchQueue",
     "DeadlineExceeded",
     "ServeRequest",
-    "FAULT_KINDS",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
@@ -129,14 +110,10 @@ __all__ = [
     "Histogram",
     "ServiceStats",
     "ServiceTelemetry",
-    "TelemetrySnapshot",
     "format_service_report",
     "Counter",
-    "Gauge",
-    "MetricSample",
     "MetricsRegistry",
     "StreamingHistogram",
-    "render_prometheus",
     "validate_prometheus_text",
     "Span",
     "SpanRecorder",
@@ -144,15 +121,7 @@ __all__ = [
     "stage_totals",
     "to_chrome_trace",
     "validate_chrome_trace",
-    "write_chrome_trace",
-    "ServeWorker",
     "WorkerPool",
-    "WORKER_BACKENDS",
-    "WORKER_TRANSPORTS",
-    "TEMPORAL_MODES",
-    "execute_serve_batch",
-    "CandidateResult",
-    "TuneReport",
     "default_knob_config",
     "format_tune_report",
     "measure_batch_ms",

@@ -40,24 +40,20 @@ from ..stencil.grid import BoundaryCondition, Grid
 from ..stencil.solvers import HISTORY_LIMIT, SolveResult
 from ..stencil.spec import StencilSpec
 from .batching import DeadlineExceeded, ServeRequest
-from .faults import FaultInjector, FaultPlan, InjectedFault
+from .faults import FaultInjector, FaultPlan
 from .sessions import SolveHandle
 from .metrics import MetricsRegistry
 from .plan_cache import CacheStats, PlanCache, plan_key_for
 from .telemetry import ServiceStats, ServiceTelemetry, format_service_report
-from .tracing import (
-    SpanRecorder,
-    batch_context,
-    stage_totals,
-    write_chrome_trace,
-)
+from .tracing import SpanRecorder, stage_totals, write_chrome_trace
 from .workers import (
     TEMPORAL_MODES,
     WORKER_TRANSPORTS,
     RetryPolicy,
     WorkerPool,
-    execute_serve_batch,
+    _fail_all,
     is_transient_failure,
+    run_batch,
 )
 
 __all__ = ["ServiceClosedError", "StencilService"]
@@ -117,9 +113,6 @@ class StencilService:
         every request is traced submit → queue/coalesce → pack → ipc →
         plan_compile/mac → unpack → resolve, across process boundaries;
         harvest with :meth:`trace_spans` / :meth:`export_trace`.
-    exact_telemetry:
-        Use exact-sample histograms instead of the bounded streaming ones
-        (finite bench runs that want exact percentiles).
     mac_threads:
         Per-shard ordered-MAC thread budget.  ``None`` (default) resolves
         adaptively — ``REPRO_MAC_THREADS`` or ``cpu_count // workers``,
@@ -177,7 +170,6 @@ class StencilService:
         transport: str = "shm",
         temporal_mode: Optional[str] = None,
         trace: bool = False,
-        exact_telemetry: bool = False,
         mac_threads: Optional[int] = None,
         mac_col_block: Optional[int] = None,
         tuned_profile: Union[TunedProfile, dict, str, None] = None,
@@ -257,7 +249,7 @@ class StencilService:
             if (workers == 0 and fault_plan is not None and fault_plan)
             else None
         )
-        self._telemetry = ServiceTelemetry(exact=exact_telemetry)
+        self._telemetry = ServiceTelemetry()
         self.tracer = SpanRecorder(enabled=trace)
         self.metrics = MetricsRegistry()
         self._clock = time.monotonic
@@ -365,6 +357,7 @@ class StencilService:
         deadline = timeout if timeout is not None else self._default_deadline_s
         if deadline is not None:
             req.deadline_s = req.submitted_s + deadline
+        req.retries_left = self._policy.retry_budget
         if self.tracer.enabled:
             req.trace = self.tracer.new_ids()
         with self._lock:
@@ -383,9 +376,7 @@ class StencilService:
             except RuntimeError as exc:
                 # queue closed under us (close() raced the enqueue): fail
                 # the request so no waiter hangs on it
-                now = self._clock()
-                req._fail(exc, started_s=now, finished_s=now)
-                self._telemetry.record_error([req], stage="submit")
+                _fail_all([req], exc, "submit", self._telemetry)
                 raise
         else:
             self._run_sync(req)
@@ -435,80 +426,24 @@ class StencilService:
         """Submit and block for the result (convenience)."""
         return self.submit(spec, grid, steps=steps).result(timeout)
 
-    def _run_sync(self, req: ServeRequest) -> None:
-        """Synchronous fallback: the caller thread is the worker.
-
-        Shares the self-healing contract with the pooled backends: expired
-        requests fail with :class:`DeadlineExceeded` before execution, and
-        transient failures (including injected ``fail_batch`` faults)
-        retry up to the policy's per-request budget.
-        """
-        assert self._sync_cache is not None
-        started = self._clock()
-        if req.expired(started):
-            req._fail(
-                DeadlineExceeded(
-                    f"request {req.req_id} missed its deadline"
-                ),
-                started_s=started,
-                finished_s=started,
-            )
-            self._telemetry.record_error([req], stage="deadline")
-            return
-        tracing = req.trace is not None and self.tracer.enabled
-        attempts_left = self._policy.retry_budget
-        while True:
-            try:
-                if self._sync_injector is not None and (
-                    self._sync_injector.should_fire("fail_batch", 0)
-                ):
-                    self._telemetry.record_fault_injected()
-                    raise InjectedFault(
-                        "injected fail_batch fault (sync backend)"
-                    )
-                if tracing:
-                    with batch_context(
-                        self.tracer, req.trace[0], req.trace[1], "sync"
-                    ):
-                        out = execute_serve_batch(
-                            self._sync_cache,
-                            req.key,
-                            req.spec,
-                            [req.grid],
-                            self.temporal_mode,
-                        )[0]
-                else:
-                    out = execute_serve_batch(
-                        self._sync_cache,
-                        req.key,
-                        req.spec,
-                        [req.grid],
-                        self.temporal_mode,
-                    )[0]
-            except Exception as exc:
-                if is_transient_failure(exc) and attempts_left > 0:
-                    attempts_left -= 1
-                    self._telemetry.record_retries()
-                    continue
-                finished = self._clock()
-                req._fail(exc, started_s=started, finished_s=finished)
-                self._telemetry.record_error([req], stage="execute")
-                return
-            break
-        finished = self._clock()
-        req._resolve(
-            out, batch_size=1, started_s=started, finished_s=finished
+    def _run_sync(self, req: ServeRequest) -> bool:
+        """Synchronous path: the caller thread serves ``req`` as a batch
+        of one through :func:`~repro.serve.workers.run_batch`, the same
+        lifecycle as a thread shard.  A transient failure retries here,
+        on the caller thread, within the request's retry budget: this
+        method is its own retry ``place``, and it always takes the
+        request."""
+        run_batch(
+            [req],
+            self._sync_cache,
+            temporal_mode=self.temporal_mode,
+            telemetry=self._telemetry,
+            tracer=self.tracer,
+            track="sync",
+            injector=self._sync_injector,
+            place=self._run_sync,
         )
-        if tracing:
-            self.tracer.record_span(
-                "request",
-                "sync",
-                req.submitted_s,
-                finished - req.submitted_s,
-                req.trace[0],
-                span_id=req.trace[1],
-            )
-        self._telemetry.record_batch([req], started, finished)
+        return True
 
     # ------------------------------------------------------------------
     def submit_solve(

@@ -9,9 +9,8 @@ generators (and is re-exported there for reporting pipelines), and
 :meth:`ServiceStats.to_prometheus` renders in the Prometheus text
 exposition format for scraping.
 
-Latency/occupancy distributions default to the bounded
-:class:`~repro.serve.metrics.StreamingHistogram`; pass ``exact=True``
-for benches that want exact percentiles over a finite run.
+Latency/occupancy distributions are kept in bounded
+:class:`~repro.serve.metrics.StreamingHistogram` sketches.
 """
 
 from __future__ import annotations
@@ -42,10 +41,10 @@ ERROR_STAGES = ("submit", "pack", "ipc", "execute", "resolve", "deadline")
 class Histogram:
     """Exact-sample histogram with percentile queries.
 
-    Keeps every raw sample, so memory grows without bound — this is the
-    ``exact=True`` mode for finite bench runs where exact p50/p99 matter;
-    long-running services use :class:`~repro.serve.metrics.StreamingHistogram`
-    (same ``summary()`` contract, bounded memory).
+    Keeps every raw sample, so memory grows without bound.  It is the
+    exact reference the bounded
+    :class:`~repro.serve.metrics.StreamingHistogram` (same ``summary()``
+    contract) is tested against.
     """
 
     def __init__(self) -> None:
@@ -170,33 +169,30 @@ class TelemetrySnapshot:
 class ServiceTelemetry:
     """Thread-safe accumulator the workers and sync path record into.
 
-    ``exact=False`` (the default) uses bounded streaming histograms;
-    ``exact=True`` keeps raw samples for exact percentiles in benches.
-    Per-batch accounting is computed outside the lock and merged in one
-    acquire, so the dispatcher's hot loop holds the lock O(1) per batch
-    rather than O(batch size).
+    Distributions are bounded streaming histograms.  Per-batch accounting
+    is computed outside the lock and merged in one acquire, so the
+    dispatcher's hot loop holds the lock O(1) per batch rather than
+    O(batch size).
     """
 
-    def __init__(self, exact: bool = False) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.exact = exact
-        make = Histogram if exact else StreamingHistogram
         self._requests = 0
         self._sweeps = 0
         self._batches = 0
         self._errors = 0
         self._errors_by_stage: Dict[str, int] = {}
         self._ipc_payload_bytes = 0
-        self._latency_s = make()
-        self._queue_wait_s = make()
-        self._occupancy = make()
-        self._service_s = make()
+        self._latency_s = StreamingHistogram()
+        self._queue_wait_s = StreamingHistogram()
+        self._occupancy = StreamingHistogram()
+        self._service_s = StreamingHistogram()
         self._solves = 0
         self._solves_converged = 0
         self._solve_failures = 0
         self._solve_iterations_total = 0
-        self._solve_iters = make()
-        self._solve_residual = make()
+        self._solve_iters = StreamingHistogram()
+        self._solve_residual = StreamingHistogram()
         self._retries = 0
         self._worker_restarts = 0
         self._slab_degrades = 0

@@ -52,6 +52,12 @@ cross-backend differential test suite asserts equality on raw result
 bytes).  ``close()`` has the same drain semantics for both: pending
 requests complete, then workers exit; submits after close raise.
 
+Every path completes a batch the same way.  Thread shards, the inline
+rung and the service's synchronous path serve through :func:`run_batch`,
+and the process dispatcher completes worker results through the same
+expire / resolve / fail / retry helpers, so deadlines, retries,
+telemetry and spans mean the same thing on every path.
+
 Temporal super-sweeps
 ---------------------
 A request whose sweep-aware plan key carries ``steps > 1`` executes as one
@@ -88,6 +94,7 @@ import threading
 import time
 import warnings
 from collections import OrderedDict
+from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -110,7 +117,6 @@ from .tracing import SpanRecorder, batch_context, stage_span
 
 __all__ = [
     "RetryPolicy",
-    "ServeWorker",
     "WorkerCrashed",
     "WorkerPool",
     "WORKER_BACKENDS",
@@ -118,6 +124,7 @@ __all__ = [
     "TEMPORAL_MODES",
     "execute_serve_batch",
     "is_transient_failure",
+    "run_batch",
 ]
 
 #: Supported ``WorkerPool(backend=...)`` choices.
@@ -278,23 +285,6 @@ def _result_dtype(precision: str) -> np.dtype:
     )
 
 
-def _chain_sweeps(
-    executor,
-    grids: List[Grid],
-    steps: int,
-    out: Optional[List[np.ndarray]] = None,
-) -> List[np.ndarray]:
-    """Advance a batch ``steps`` chained sweeps through one executor.
-
-    Delegates to :meth:`~repro.core.executor.SpiderExecutor.run_batch_steps`,
-    which is byte-identical to a client resubmitting each result ``steps``
-    times under its own boundary condition (batch composition never
-    perturbs the ordered MAC's numerics) while keeping intermediates in
-    plan-owned buffers.
-    """
-    return executor.run_batch_steps(grids, steps, out=out)
-
-
 #: memo of fused-kernel derivation per sweep-aware request key.  Both the
 #: fused spec and its plan key are pure functions of the request key's
 #: content (the fingerprint is a content hash of the kernel), so the memo
@@ -361,7 +351,7 @@ def _run_super_sweep(
         # exact mode — and the fused path's fallback for non-Dirichlet
         # grids or domains too small for an uncontaminated interior
         with stage_span("temporal_chain", args={"steps": steps}):
-            return _chain_sweeps(plain.executor, grids, steps, out)
+            return plain.executor.run_batch_steps(grids, steps, out=out)
     fused_spec, fused_key = _fused_spec_and_key(key, spec)
     # the fused plan compiles through a steps-carrying PlanRecipe: the
     # recipe's wire form ships the small base spec, and every consumer
@@ -432,158 +422,231 @@ def execute_serve_batch(
     return _run_super_sweep(cache, key, spec, grids, temporal_mode, out)
 
 
-class ServeWorker(threading.Thread):
-    """One thread-backend shard: drains its queue batch-by-batch until closed."""
+# ----------------------------------------------------------------------
+# The batch lifecycle, shared by every execution path
+# ----------------------------------------------------------------------
 
-    def __init__(
-        self,
-        worker_id: int,
-        queue: BatchQueue,
-        cache: PlanCache,
-        *,
-        device: DeviceSpec = A100_80GB_PCIE,
-        telemetry: Optional[ServiceTelemetry] = None,
-        clock: Callable[[], float] = time.monotonic,
-        temporal_mode: str = "exact",
-        tracer: Optional[SpanRecorder] = None,
-        pool: Optional["WorkerPool"] = None,
-    ) -> None:
-        super().__init__(name=f"spider-serve-{worker_id}", daemon=True)
-        self.worker_id = worker_id
-        self.queue = queue
-        self.cache = cache
-        self.device = device
-        self.telemetry = telemetry
-        self.temporal_mode = temporal_mode
-        self.tracer = tracer
-        #: owning pool, when any — routes transient execution failures
-        #: into the retry machinery and hosts the fault injector; a bare
-        #: worker (no pool) keeps the fail-fast behaviour
-        self.pool = pool
-        self._clock = clock
+def _batch_trace(
+    tracer: Optional[SpanRecorder], batch: Sequence[ServeRequest]
+) -> Optional[tuple]:
+    """``(trace_id, root span_id)`` of the batch's first traced request
+    while tracing is on, else None; batch-level spans parent-link to it."""
+    if tracer is None or not tracer.enabled:
+        return None
+    return next((r.trace for r in batch if r.trace is not None), None)
 
-    def run(self) -> None:  # pragma: no cover - exercised via the service
-        while True:
-            batch = self.queue.get_batch()
-            if batch is None:
-                return
-            self.process_batch(batch)
 
-    def process_batch(self, batch: Sequence[ServeRequest]) -> None:
-        """Compile-or-hit the plan(s), execute one fused pass, resolve all.
-
-        Every exception is routed to the requests' futures — a worker never
-        dies on a bad request.  With an owning pool, transient failures
-        (injected or real) re-enqueue through the pool's retry budget and
-        expired requests are failed before costing execute time.
-        """
-        started = self._clock()
-        pool = self.pool
-        if pool is not None:
-            batch = [r for r in batch if not r.done()]
-            batch = pool._expire_batch(batch, now=started)
-            if not batch:
-                return
-        req0 = batch[0]
-        tracer = self.tracer
-        tracing = (
-            tracer is not None
-            and tracer.enabled
-            and req0.trace is not None
+def _expire(
+    batch: Sequence[ServeRequest],
+    telemetry: Optional[ServiceTelemetry],
+    now: Optional[float] = None,
+) -> List[ServeRequest]:
+    """Drop completed requests and fail expired ones with
+    :class:`DeadlineExceeded`; the live remainder is returned."""
+    if now is None:
+        now = time.monotonic()
+    live: List[ServeRequest] = []
+    expired: List[ServeRequest] = []
+    for r in batch:
+        if not r.done():
+            (expired if r.expired(now) else live).append(r)
+    if expired and telemetry is not None:
+        telemetry.record_error(expired, stage="deadline")
+    for r in expired:
+        r._fail(
+            DeadlineExceeded(f"request {r.req_id} missed its deadline"),
+            started_s=now,
+            finished_s=now,
         )
-        if tracing:
-            trace_id, root = req0.trace
-            track = f"shard-{self.worker_id}"
-            for r in batch:
-                if r.trace is not None:
-                    tracer.record_span(
-                        "queue",
-                        track,
-                        r.submitted_s,
-                        started - r.submitted_s,
-                        r.trace[0],
-                        parent_id=r.trace[1],
-                    )
+    return live
+
+
+def _fail_all(
+    reqs: Sequence[ServeRequest],
+    exc: BaseException,
+    stage: str,
+    telemetry: Optional[ServiceTelemetry],
+    started: Optional[float] = None,
+    finished: Optional[float] = None,
+) -> None:
+    """Fail every request with ``exc``, counted under the error ``stage``
+    (one of :data:`~repro.serve.telemetry.ERROR_STAGES`).  The errors are
+    counted before the futures complete, so a woken caller sees them;
+    ``started`` / ``finished`` default to now."""
+    if not reqs:
+        return
+    now = time.monotonic()
+    if telemetry is not None:
+        telemetry.record_error(reqs, stage=stage)
+    for r in reqs:
+        r._fail(
+            exc,
+            started_s=now if started is None else started,
+            finished_s=now if finished is None else finished,
+        )
+
+
+def _resolve_all(
+    batch: Sequence[ServeRequest],
+    outs: Sequence[np.ndarray],
+    started: float,
+    finished: float,
+    telemetry: Optional[ServiceTelemetry],
+    tracer: Optional[SpanRecorder],
+    track: str,
+) -> None:
+    """Complete a served batch: record it in telemetry and each request's
+    ``queue`` and ``request`` spans, resolve the futures, then record the
+    batch's ``resolve`` span.  Everything a caller can observe about its
+    request is recorded before its future resolves."""
+    trace = _batch_trace(tracer, batch)
+    if telemetry is not None:
+        telemetry.record_batch(batch, started, finished)
+    if trace is not None:
+        for r in batch:
+            if r.trace is None:
+                continue
             tracer.record_span(
-                "coalesce",
+                "queue",
                 track,
-                req0.submitted_s,
-                started - req0.submitted_s,
-                trace_id,
-                parent_id=root,
-                args={"batch": len(batch)},
+                r.submitted_s,
+                started - r.submitted_s,
+                r.trace[0],
+                parent_id=r.trace[1],
             )
-        try:
-            if (
-                pool is not None
-                and pool._injector is not None
-                and pool._injector.should_fire("fail_batch", self.worker_id)
-            ):
-                pool._note_fault()
-                raise InjectedFault(
-                    f"injected batch failure on shard {self.worker_id}"
-                )
-            # execute_serve_batch materializes each result straight from
-            # the plan's workspace accumulator into its own contiguous
-            # array (run_batch_split), and runs steps>1 batches as one
-            # in-worker temporal super-sweep
-            if tracing:
-                with batch_context(tracer, trace_id, root, track):
-                    outs = execute_serve_batch(
-                        self.cache,
-                        req0.key,
-                        req0.spec,
-                        [r.grid for r in batch],
-                        self.temporal_mode,
-                    )
-            else:
-                outs = execute_serve_batch(
-                    self.cache,
-                    req0.key,
-                    req0.spec,
-                    [r.grid for r in batch],
-                    self.temporal_mode,
-                )
-        except Exception as exc:
-            finished = self._clock()
-            if pool is not None and is_transient_failure(exc):
-                pool._retry_or_fail(list(batch), exc, stage="execute")
-                return
-            for r in batch:
-                r._fail(exc, started_s=started, finished_s=finished)
-            if self.telemetry is not None:
-                self.telemetry.record_error(batch, stage="execute")
-            return
-        finished = self._clock()
-        for r, out in zip(batch, outs):
-            r._resolve(
-                out,
-                batch_size=len(batch),
-                started_s=started,
-                finished_s=finished,
-            )
-        resolved = self._clock()
-        if tracing:
             tracer.record_span(
-                "resolve",
+                "request",
                 track,
-                finished,
-                resolved - finished,
-                trace_id,
-                parent_id=root,
+                r.submitted_s,
+                finished - r.submitted_s,
+                r.trace[0],
+                span_id=r.trace[1],
             )
-            for r in batch:
-                if r.trace is not None:
-                    tracer.record_span(
-                        "request",
-                        track,
-                        r.submitted_s,
-                        finished - r.submitted_s,
-                        r.trace[0],
-                        span_id=r.trace[1],
-                    )
-        if self.telemetry is not None:
-            self.telemetry.record_batch(batch, started, finished)
+    resolve_t0 = time.monotonic()
+    for r, out in zip(batch, outs):
+        r._resolve(
+            out,
+            batch_size=len(batch),
+            started_s=started,
+            finished_s=finished,
+        )
+    if trace is not None:
+        tracer.record_span(
+            "resolve",
+            track,
+            resolve_t0,
+            time.monotonic() - resolve_t0,
+            trace[0],
+            parent_id=trace[1],
+        )
+
+
+def _retry(
+    reqs: Sequence[ServeRequest],
+    exc: BaseException,
+    stage: str,
+    place: Callable[[ServeRequest], bool],
+    telemetry: Optional[ServiceTelemetry],
+    charge: bool = True,
+) -> None:
+    """The retry funnel for requests hit by a transient failure ``exc``.
+
+    Each live request is handed to ``place``, which queues or runs it
+    again and returns False if nothing will take it; re-execution is
+    byte-identical because a request is a pure function of (plan, grid).
+    With ``charge`` every placement spends one unit of the request's
+    retry budget and counts as a retry, and a spent budget fails the
+    request instead.  Requests left over fail with ``exc`` under
+    ``stage``.
+    """
+    retried = 0
+    refused: List[ServeRequest] = []
+    for r in _expire(reqs, telemetry):
+        if charge:
+            if not r.retries_left:
+                refused.append(r)
+                continue
+            r.retries_left -= 1
+        if not place(r):
+            refused.append(r)
+        elif charge:
+            retried += 1
+    if retried and telemetry is not None:
+        telemetry.record_retries(retried)
+    _fail_all(refused, exc, stage, telemetry)
+
+
+def run_batch(
+    batch: Sequence[ServeRequest],
+    cache: PlanCache,
+    *,
+    temporal_mode: str = "exact",
+    telemetry: Optional[ServiceTelemetry] = None,
+    tracer: Optional[SpanRecorder] = None,
+    track: str = "inline",
+    injector: Optional[FaultInjector] = None,
+    shard: int = 0,
+    place: Optional[Callable[[ServeRequest], bool]] = None,
+) -> bool:
+    """Serve one coalesced batch in this process, start to finish.
+
+    Thread shards, the inline rung and the synchronous path all serve
+    through here: drop completed requests and expire overdue ones,
+    record the ``coalesce`` span, fire an armed ``fail_batch`` fault for
+    ``shard``, execute through :func:`execute_serve_batch` and complete
+    the batch.  A transient failure goes through the retry funnel to
+    ``place``; without ``place``, or for any other failure, the batch
+    fails.  Returns True once the batch resolved.
+    """
+    started = time.monotonic()
+    batch = _expire(batch, telemetry, started)
+    if not batch:
+        return False
+    req0 = batch[0]
+    trace = _batch_trace(tracer, batch)
+    if trace is not None:
+        tracer.record_span(
+            "coalesce",
+            track,
+            req0.submitted_s,
+            started - req0.submitted_s,
+            trace[0],
+            parent_id=trace[1],
+            args={"batch": len(batch)},
+        )
+    try:
+        if injector is not None and injector.should_fire("fail_batch", shard):
+            if telemetry is not None:
+                telemetry.record_fault_injected()
+            raise InjectedFault(f"injected batch failure on {track}")
+        with (
+            batch_context(tracer, trace[0], trace[1], track)
+            if trace is not None
+            else nullcontext()
+        ):
+            outs = execute_serve_batch(
+                cache,
+                req0.key,
+                req0.spec,
+                [r.grid for r in batch],
+                temporal_mode,
+            )
+    except Exception as exc:
+        if place is not None and is_transient_failure(exc):
+            _retry(batch, exc, "execute", place, telemetry)
+        else:
+            _fail_all(batch, exc, "execute", telemetry, started)
+        return False
+    _resolve_all(
+        batch,
+        outs,
+        started,
+        time.monotonic(),
+        telemetry,
+        tracer,
+        track,
+    )
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -997,16 +1060,12 @@ class WorkerPool:
                 )
                 for _ in range(num_workers)
             ]
-            self.workers: List[ServeWorker] = [
-                ServeWorker(
-                    i,
-                    self.queues[i],
-                    self.caches[i],
-                    device=device,
-                    telemetry=telemetry,
-                    temporal_mode=temporal_mode,
-                    tracer=tracer,
-                    pool=self,
+            self.workers: List[threading.Thread] = [
+                threading.Thread(
+                    target=self._serve_shard,
+                    args=(i,),
+                    name=f"spider-serve-{i}",
+                    daemon=True,
                 )
                 for i in range(num_workers)
             ]
@@ -1184,23 +1243,50 @@ class WorkerPool:
         return -1
 
     def submit(self, req: ServeRequest) -> int:
+        """Queue a request on its shard; returns the shard, or -1 when no
+        shard is left and the inline rung served it.  Raises on a closed
+        pool, and with :class:`WorkerCrashed` when no shard is left and
+        inline fallback is off — never a parked future."""
         if req.retries_left is None:
             req.retries_left = self._policy.retry_budget
         shard = self.route(req)
-        if shard < 0:
-            return self._submit_no_shards(req)
-        self.queues[shard].put(req)
+        if shard >= 0:
+            self.queues[shard].put(req)
+        elif self._policy.inline_fallback:
+            self._run_inline([req])
+        else:
+            raise WorkerCrashed(
+                "every serve worker process died unexpectedly and the "
+                "restart budget is exhausted; no shard accepts requests"
+            )
         return shard
 
-    def _submit_no_shards(self, req: ServeRequest) -> int:
-        """Every shard is tombstoned: inline execution (the terminal
-        fallback rung) or an explicit rejection, never a parked future."""
-        if self._policy.inline_fallback:
-            self._execute_inline([req])
-            return -1
-        raise WorkerCrashed(
-            "every serve worker process died unexpectedly and the restart "
-            "budget is exhausted; no shard accepts requests"
+    def _serve_shard(self, shard: int) -> None:
+        """Thread-backend shard loop: serve coalesced batches until the
+        queue is closed and drained."""
+        queue = self.queues[shard]
+        while True:
+            batch = queue.get_batch()
+            if batch is None:
+                return
+            self._run_batch(batch, self.caches[shard], shard)
+
+    def _run_batch(
+        self, batch: Sequence[ServeRequest], cache: PlanCache, shard: int
+    ) -> bool:
+        """:func:`run_batch` with this pool's hooks; ``shard`` is -1 on
+        the inline rung, where no faults are injected."""
+        inline = shard < 0
+        return run_batch(
+            batch,
+            cache,
+            temporal_mode=self.temporal_mode,
+            telemetry=self.telemetry,
+            tracer=self.tracer,
+            track="inline" if inline else f"shard-{shard}",
+            injector=None if inline else self._injector,
+            shard=shard,
+            place=self._place,
         )
 
     def cache_stats(self) -> List[CacheStats]:
@@ -1454,25 +1540,19 @@ class WorkerPool:
                     task_q.put(None)
                 return
             loop_t0 = time.monotonic()
-            batch = [r for r in batch if not r.done()]
-            batch = self._expire_batch(batch)
+            batch = _expire(batch, self.telemetry, loop_t0)
             if not batch:
                 continue
             tracer = self.tracer
-            tracing = (
-                tracer is not None
-                and tracer.enabled
-                and batch[0].trace is not None
-            )
-            if tracing:
-                trace_id, root = batch[0].trace
+            trace = _batch_trace(tracer, batch)
+            if trace is not None:
                 tracer.record_span(
                     "coalesce",
                     track,
                     batch[0].submitted_s,
                     loop_t0 - batch[0].submitted_s,
-                    trace_id,
-                    parent_id=root,
+                    trace[0],
+                    parent_id=trace[1],
                     args={"batch": len(batch)},
                 )
             # register under the shard's current epoch — or park while a
@@ -1493,7 +1573,7 @@ class WorkerPool:
                         self._pending[r.req_id] = (shard, r)
                     registered = True
             if not registered:
-                self._redistribute(batch)
+                self._redistribute(batch, self._crash_exc(shard))
                 continue
             if self._injector is not None:
                 delay = self._injector.stall_delay(shard)
@@ -1524,22 +1604,18 @@ class WorkerPool:
                         if r.req_id in self._pending
                     ]
                 if is_transient_failure(exc):
-                    self._retry_or_fail(batch, exc, stage="pack")
+                    self._retry_or_fail(batch, exc, "pack")
                 else:
-                    now = time.monotonic()
-                    for r in batch:
-                        r._fail(exc, started_s=now, finished_s=now)
-                    if self.telemetry is not None:
-                        self.telemetry.record_error(batch, stage="pack")
+                    _fail_all(batch, exc, "pack", self.telemetry)
                 continue
-            if tracing:
+            if trace is not None:
                 tracer.record_span(
                     "pack",
                     track,
                     pack_t0,
                     pack_t1 - pack_t0,
-                    trace_id,
-                    parent_id=root,
+                    trace[0],
+                    parent_id=trace[1],
                     args={"ipc_bytes": ipc_bytes},
                 )
             # re-check the shard unconditionally: alloc_blocking aborts
@@ -1585,7 +1661,7 @@ class WorkerPool:
                 self.telemetry.record_ipc(ipc_bytes)
             req0 = batch[0]
             shipped = time.monotonic()
-            if tracing:
+            if trace is not None:
                 with self._pending_lock:
                     self._batch_shipped[req0.req_id] = shipped
             task_q.put(
@@ -1595,7 +1671,7 @@ class WorkerPool:
                     req0.spec.to_dict(),
                     [r.submitted_s for r in batch],
                     payload,
-                    tracing,
+                    trace is not None,
                 )
             )
             if self._feeder_busy is not None:
@@ -1686,17 +1762,10 @@ class WorkerPool:
                     shipped = self._batch_shipped.pop(req_ids[0], None)
                 reqs = [e[1] for e in entries if e is not None]
                 tracer = self.tracer
-                trace = next(
-                    (r.trace for r in reqs if r.trace is not None), None
-                )
-                tracing = (
-                    tracer is not None
-                    and tracer.enabled
-                    and trace is not None
-                )
-                if tracing:
+                trace = _batch_trace(tracer, reqs)
+                track = f"shard-{worker_id}"
+                if trace is not None:
                     trace_id, root = trace
-                    track = f"shard-{worker_id}"
                     if shipped is not None:
                         # everything between ship and receipt that was not
                         # the worker's measured service time is transport:
@@ -1732,15 +1801,17 @@ class WorkerPool:
                         # the worker rejected its task-block view:
                         # a task-direction transport failure
                         self._note_slab_error(worker_id, 0)
-                    if reqs and is_transient_failure(payload):
-                        self._retry_or_fail(reqs, payload, stage="execute")
-                        continue
-                    for r in reqs:
-                        r._fail(
-                            payload, started_s=started, finished_s=finished
+                    if is_transient_failure(payload):
+                        self._retry_or_fail(reqs, payload, "execute")
+                    else:
+                        _fail_all(
+                            reqs,
+                            payload,
+                            "execute",
+                            self.telemetry,
+                            started,
+                            finished,
                         )
-                    if self.telemetry is not None:
-                        self.telemetry.record_error(reqs, stage="execute")
                     continue
                 ipc_bytes = 0
                 unpack_t0 = time.monotonic()
@@ -1765,13 +1836,12 @@ class WorkerPool:
                     # bytes are unreadable, but re-execution is
                     # byte-identical — send the batch back through retry
                     self._note_slab_error(worker_id, 1)
-                    if reqs:
-                        self._retry_or_fail(reqs, exc, stage="resolve")
+                    self._retry_or_fail(reqs, exc, "resolve")
                     continue
                 finally:
                     if blocks is not None:
                         self._free_blocks(*blocks)
-                if tracing:
+                if trace is not None:
                     tracer.record_span(
                         "unpack",
                         track,
@@ -1785,59 +1855,28 @@ class WorkerPool:
                         "shm result arrived for a batch whose blocks are "
                         "gone (reaped or never reserved)"
                     )
-                resolve_t0 = time.monotonic()
-                for e, out in zip(entries, outs or ()):
-                    if e is None:
-                        continue
-                    e[1]._resolve(
-                        out,
-                        batch_size=len(reqs),
-                        started_s=started,
-                        finished_s=finished,
-                    )
-                if tracing:
-                    tracer.record_span(
-                        "resolve",
-                        track,
-                        resolve_t0,
-                        time.monotonic() - resolve_t0,
-                        trace_id,
-                        parent_id=root,
-                    )
-                    for r in reqs:
-                        if r.trace is None:
-                            continue
-                        tracer.record_span(
-                            "queue",
-                            track,
-                            r.submitted_s,
-                            max(0.0, started - r.submitted_s),
-                            r.trace[0],
-                            parent_id=r.trace[1],
-                        )
-                        tracer.record_span(
-                            "request",
-                            track,
-                            r.submitted_s,
-                            finished - r.submitted_s,
-                            r.trace[0],
-                            span_id=r.trace[1],
-                        )
-                if self.telemetry is not None:
-                    if ipc_bytes:
-                        self.telemetry.record_ipc(ipc_bytes)
-                    self.telemetry.record_batch(reqs, started, finished)
+                if ipc_bytes and self.telemetry is not None:
+                    self.telemetry.record_ipc(ipc_bytes)
+                _resolve_all(
+                    reqs,
+                    [o for e, o in zip(entries, outs or ()) if e is not None],
+                    started,
+                    finished,
+                    self.telemetry,
+                    tracer,
+                    track,
+                )
             except Exception as exc:  # pragma: no cover - defensive
                 # a malformed message must fail (at most) its own batch,
                 # never kill the dispatcher and hang every future
-                now = time.monotonic()
                 if not reqs:
                     reqs = self._pop_ids_from_malformed(msg)
-                failed = [r for r in reqs if not r.done()]
-                for r in failed:
-                    r._fail(exc, started_s=now, finished_s=now)
-                if failed and self.telemetry is not None:
-                    self.telemetry.record_error(failed, stage="resolve")
+                _fail_all(
+                    [r for r in reqs if not r.done()],
+                    exc,
+                    "resolve",
+                    self.telemetry,
+                )
             finally:
                 if self._dispatcher_busy is not None:
                     self._dispatcher_busy.inc(
@@ -2069,93 +2108,35 @@ class WorkerPool:
         old_q.close()
         old_q.cancel_join_thread()
 
+    def _place(self, r: ServeRequest) -> bool:
+        """Route a request to a live shard, else run it on the inline
+        rung; False when neither takes it (inline fallback is off)."""
+        target = self.route(r)
+        if target >= 0:
+            try:
+                self.queues[target].put(r)
+                return True
+            except RuntimeError:
+                pass  # queue closed under us; fall through
+        if not self._policy.inline_fallback:
+            return False
+        self._run_inline([r])
+        return True
+
     def _retry_or_fail(
         self, reqs: Sequence[ServeRequest], exc: BaseException, stage: str
     ) -> None:
-        """Recovery funnel for a batch that hit a failure.
-
-        Transient failures re-enqueue each request through spec-affinity
-        routing while its retry budget lasts (byte-identical by purity);
-        with no live shard the inline fallback executes in-parent.
-        Everything else — deterministic failures, spent budgets — fails
-        the futures with the original exception, recorded under
-        ``stage``.
-        """
-        reqs = [r for r in reqs if not r.done()]
-        reqs = self._expire_batch(reqs)
-        if not reqs:
-            return
-        transient = is_transient_failure(exc)
-        retried = 0
-        failed: List[ServeRequest] = []
-        for r in reqs:
-            budget = (
-                r.retries_left
-                if r.retries_left is not None
-                else self._policy.retry_budget
-            )
-            if transient and budget > 0:
-                r.retries_left = budget - 1
-                target = self.route(r)
-                if target >= 0:
-                    try:
-                        self.queues[target].put(r)
-                        retried += 1
-                        continue
-                    except RuntimeError:
-                        pass  # queue closed mid-retry; fall through
-                if self._policy.inline_fallback:
-                    self._execute_inline([r])
-                    retried += 1
-                    continue
-            failed.append(r)
-        if retried and self.telemetry is not None:
-            self.telemetry.record_retries(retried)
-        if failed:
-            now = time.monotonic()
-            for r in failed:
-                r._fail(exc, started_s=now, finished_s=now)
-            if self.telemetry is not None:
-                self.telemetry.record_error(failed, stage=stage)
+        """Re-place requests after a transient failure, charging each
+        one's retry budget; spent budgets fail under ``stage``."""
+        _retry(reqs, exc, stage, self._place, self.telemetry)
 
     def _redistribute(
-        self,
-        batch: Sequence[ServeRequest],
-        exc: Optional[BaseException] = None,
+        self, batch: Sequence[ServeRequest], exc: BaseException
     ) -> None:
-        """Rehash a tombstoned shard's traffic onto the survivors.
-
-        Unlike :meth:`_retry_or_fail` this consumes no retry budget — the
-        requests never reached a worker, they are simply being re-routed.
-        ``exc`` (when given) is what a request fails with if no shard and
-        no inline rung will take it.
-        """
-        batch = [r for r in batch if not r.done()]
-        batch = self._expire_batch(batch)
-        for r in batch:
-            target = self.route(r)
-            if target >= 0:
-                try:
-                    self.queues[target].put(r)
-                    continue
-                except RuntimeError:
-                    pass  # queue closed under us; fall through
-            if self._policy.inline_fallback:
-                self._execute_inline([r])
-            else:
-                now = time.monotonic()
-                r._fail(
-                    exc
-                    if exc is not None
-                    else WorkerCrashed(
-                        f"serve worker process for request {r.req_id} "
-                        "died unexpectedly and no shard accepts requests"
-                    ),
-                    started_s=now,
-                    finished_s=now,
-                )
-                if self.telemetry is not None:
-                    self.telemetry.record_error([r], stage="ipc")
+        """Re-place a dead shard's traffic without charging retries: its
+        requests may never have reached a worker.  A request nothing
+        takes fails with ``exc``."""
+        _retry(batch, exc, "ipc", self._place, self.telemetry, charge=False)
 
     def _inline_cache(self) -> PlanCache:
         with self._parent_cache_lock:
@@ -2169,70 +2150,15 @@ class WorkerPool:
                 )
             return self._parent_cache
 
-    def _execute_inline(self, batch: Sequence[ServeRequest]) -> None:
-        """Terminal fallback: serve a batch in-parent, synchronously.
-
-        Uses a lazily built parent-side plan cache with the pool's exact
-        knobs, so inline results are byte-identical to worker results.
-        """
-        batch = [r for r in batch if not r.done()]
-        if not batch:
-            return
-        started = time.monotonic()
-        req0 = batch[0]
-        try:
-            outs = execute_serve_batch(
-                self._inline_cache(),
-                req0.key,
-                req0.spec,
-                [r.grid for r in batch],
-                self.temporal_mode,
-            )
-        except Exception as exc:
-            finished = time.monotonic()
-            for r in batch:
-                r._fail(exc, started_s=started, finished_s=finished)
-            if self.telemetry is not None:
-                self.telemetry.record_error(batch, stage="execute")
-            return
-        finished = time.monotonic()
-        for r, out in zip(batch, outs):
-            r._resolve(
-                out,
-                batch_size=len(batch),
-                started_s=started,
-                finished_s=finished,
-            )
-        if self.telemetry is not None:
-            self.telemetry.record_batch(batch, started, finished)
+    def _run_inline(self, batch: Sequence[ServeRequest]) -> None:
+        """Terminal rung: serve a batch in-parent, synchronously, through
+        a lazily built plan cache with the pool's exact knobs, so inline
+        results are byte-identical to worker results."""
+        if (
+            self._run_batch(batch, self._inline_cache(), -1)
+            and self.telemetry is not None
+        ):
             self.telemetry.record_inline_batch()
-
-    def _expire_batch(
-        self, batch: Sequence[ServeRequest], now: Optional[float] = None
-    ) -> List[ServeRequest]:
-        """Fail every expired request in ``batch`` with
-        :class:`DeadlineExceeded`; the live remainder is returned."""
-        if not batch:
-            return []
-        if now is None:
-            now = time.monotonic()
-        live: List[ServeRequest] = []
-        expired: List[ServeRequest] = []
-        for r in batch:
-            if not r.done() and r.expired(now):
-                r._fail(
-                    DeadlineExceeded(
-                        f"request {r.req_id} missed its deadline"
-                    ),
-                    started_s=now,
-                    finished_s=now,
-                )
-                expired.append(r)
-            else:
-                live.append(r)
-        if expired and self.telemetry is not None:
-            self.telemetry.record_error(expired, stage="deadline")
-        return live
 
     def _on_queue_expired(self, expired: List[ServeRequest]) -> None:
         if self.telemetry is not None:

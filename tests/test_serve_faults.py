@@ -50,7 +50,7 @@ def _reference(spec, grids):
 
 
 def _serve_chaos(spec, grids, *, faults, transport="shm", workers=1,
-                 retry_policy=None, backend="process"):
+                 retry_policy=None, backend="process", trace=False):
     with StencilService(
         workers=workers,
         backend=backend,
@@ -59,6 +59,7 @@ def _serve_chaos(spec, grids, *, faults, transport="shm", workers=1,
         max_wait_s=0.001,
         faults=faults,
         retry_policy=retry_policy,
+        trace=trace,
     ) as svc:
         handles = [svc.submit(spec, g) for g in grids]
         svc.drain()
@@ -300,22 +301,26 @@ def test_exhausted_restart_budget_rehashes_onto_survivors():
     assert t.worker_restarts == 0
 
 
-def test_all_shards_dead_falls_back_inline():
+@pytest.mark.parametrize("trace", [False, True])
+def test_all_shards_dead_falls_back_inline(trace):
     """Single shard, no restarts left: the in-parent inline executor is
-    the terminal rung — still loss-free, still byte-identical."""
+    the terminal rung — still loss-free, still byte-identical, and traced
+    like any other path (one ``request`` span per request)."""
     spec = named_stencil("heat2d")
     grids = _grids()
     ref = _reference(spec, grids)
     plan = FaultPlan(faults=(FaultSpec(kind="kill_worker", shard=0, at_batch=1),))
     outs, stats = _serve_chaos(
         spec, grids, faults=plan, workers=1,
-        retry_policy=RetryPolicy(restart_budget=0),
+        retry_policy=RetryPolicy(restart_budget=0), trace=trace,
     )
     for a, b in zip(ref, outs):
         assert a.tobytes() == b.tobytes()
     t = stats.telemetry
     assert t.errors == 0
     assert t.inline_batches >= 1
+    if trace:
+        assert stats.stages["request"]["count"] == len(grids)
 
 
 def test_recovery_disabled_fails_fast():

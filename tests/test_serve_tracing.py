@@ -36,11 +36,12 @@ WORKER_STAGES = {"decode", "mac.gemm", "temporal_chain"}
 
 
 def _serve_traced(backend, transport=None, n=8, steps=3):
+    """Serve ``n`` traced requests; ``backend="sync"`` means ``workers=0``."""
     rng = np.random.default_rng(5)
     spec = named_stencil("heat2d")
     kwargs = {"transport": transport} if transport else {}
     with StencilService(
-        workers=2,
+        workers=0 if backend == "sync" else 2,
         backend=backend,
         max_batch_size=4,
         max_wait_s=0.001,
@@ -139,8 +140,9 @@ def test_snapshot_under_load_never_drops_or_double_counts():
 # ----------------------------------------------------------------------
 
 
-def test_thread_backend_trace_covers_request_and_execution_stages():
-    spans, stats = _serve_traced("thread")
+@pytest.mark.parametrize("backend", ["sync", "thread"])
+def test_thread_backend_trace_covers_request_and_execution_stages(backend):
+    spans, stats = _serve_traced(backend)
     names = {s.name for s in spans}
     assert {"submit", "queue", "coalesce", "request", "resolve"} <= names
     assert {"mac.gemm", "temporal_chain", "plan_compile"} <= names
