@@ -14,8 +14,6 @@ Usage::
     python -m repro serve-bench --steps 4 --backend process
     python -m repro serve-bench --backend process --transport queue
     python -m repro serve-bench --workers 1 --mac-threads 4
-    python -m repro tune --shape heat2d --size 32x32 --out tuned.json
-    python -m repro serve-bench --tuned-profile tuned.json
 """
 
 from __future__ import annotations
@@ -174,10 +172,8 @@ def _cmd_serve_bench(args) -> int:
         temporal_mode=args.temporal_mode,
         trace=trace_path is not None,
         mac_threads=args.mac_threads,
-        tuned_profile=args.tuned_profile,
         faults=faults,
     ) as svc:
-        temporal_mode = svc.temporal_mode
         start = time.perf_counter()
         for r in requests:
             if r.arrival_s > 0:
@@ -235,8 +231,7 @@ def _cmd_serve_bench(args) -> int:
             "backend": stats.backend,
             "transport": stats.transport,
             "steps": args.steps,
-            "temporal_mode": temporal_mode,
-            "tuned_profile": stats.tuned_profile,
+            "temporal_mode": args.temporal_mode,
             "mac_threads": stats.mac_threads,
             "sweeps": t.sweeps,
             "throughput_rps": throughput,
@@ -271,49 +266,6 @@ def _cmd_serve_bench(args) -> int:
         print(json.dumps(doc, indent=2))
     failures = stats.telemetry.errors + stats.telemetry.solve_failures
     return 0 if failures == 0 else 1
-
-
-def _cmd_tune(args) -> int:
-    """Calibrate the roofline cost model on this machine, search the
-    serving knob space, and emit a tuned-profile JSON artifact."""
-    from .core.costmodel import TunedProfile
-    from .serve.tuning import format_tune_report, tune_profile
-    from .stencil.workloads import serving_workloads
-
-    sizes = {1: (4096,), 2: (48, 48), 3: (16, 16, 16)}
-    if args.size:
-        parsed = _parse_size(args.size)
-        sizes[len(parsed)] = parsed
-    wl = serving_workloads(
-        [args.shape],
-        size_1d=sizes[1],
-        size_2d=sizes[2],
-        size_3d=sizes[3],
-        seed=args.seed,
-    )[0]
-    batch_sizes = tuple(
-        int(b) for b in args.batch_sizes.split(",") if b.strip()
-    )
-    report = tune_profile(
-        wl.spec,
-        wl.grid_shape,
-        steps=args.steps,
-        batch_sizes=batch_sizes,
-        top_k=args.top_k,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    print(f"tuning {wl.label} on this machine")
-    print(format_tune_report(report))
-    report.profile.save(args.out)
-    # round-trip through the validator so a malformed artifact can never
-    # be emitted silently
-    loaded = TunedProfile.load(args.out)
-    print(
-        f"{'profile':<22} -> {args.out} "
-        f"({len(loaded.plans)} plan entries, validated)"
-    )
-    return 0
 
 
 def _cmd_trace(args) -> int:
@@ -502,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batch",
         type=int,
-        default=None,
-        help="max batch size (default: tuned profile's cap, else 8)",
+        default=8,
+        help="max batch size",
     )
     p.add_argument(
         "--wait-ms", type=float, default=2.0, help="batching deadline (ms)"
@@ -519,18 +471,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--temporal-mode",
         choices=["exact", "fused"],
-        default=None,
+        default="exact",
         help="multi-sweep execution: 'exact' chains ordered sweeps "
         "in-worker; 'fused' runs the self-convolved super-kernel as one "
-        "GEMM plus exact boundary-ring repair (default: tuned profile's "
-        "mode, else exact)",
-    )
-    p.add_argument(
-        "--tuned-profile",
-        default=None,
-        metavar="PROFILE.json",
-        help="load a 'repro tune' artifact at startup; explicit "
-        "--batch/--temporal-mode/--mac-threads still win over it",
+        "GEMM plus exact boundary-ring repair",
     )
     p.add_argument(
         "--mac-threads",
@@ -580,46 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
         "FaultPlan JSON file (overrides --fault-rate)",
     )
     p.set_defaults(fn=_cmd_serve_bench)
-
-    p = sub.add_parser(
-        "tune",
-        help="calibrate the roofline cost model and emit a tuned-profile "
-        "JSON the serving runtime loads at startup",
-    )
-    p.add_argument(
-        "--shape",
-        default="heat2d",
-        help="named stencil or paper id to tune for (e.g. heat2d, Box-2D2R)",
-    )
-    p.add_argument("--size", default=None, help="grid size, e.g. 48x48")
-    p.add_argument(
-        "--batch-sizes",
-        default="1,4,8",
-        help="comma list of batch sizes the probe measures",
-    )
-    p.add_argument(
-        "--steps",
-        type=int,
-        default=1,
-        help="sweeps per request the workload profile assumes (steps > 1 "
-        "also searches temporal_mode)",
-    )
-    p.add_argument(
-        "--top-k",
-        type=int,
-        default=3,
-        help="model-ranked candidates to cross-check with real benches",
-    )
-    p.add_argument(
-        "--repeats", type=int, default=2, help="timed passes per micro-bench"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--out",
-        default="tuned_profile.json",
-        help="output path for the tuned-profile artifact",
-    )
-    p.set_defaults(fn=_cmd_tune)
 
     p = sub.add_parser(
         "trace",

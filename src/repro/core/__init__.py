@@ -13,14 +13,8 @@ from .costmodel import (
     CalibrationResult,
     CalibrationSample,
     CostModel,
-    KnobConfig,
-    TunedPlan,
-    TunedProfile,
     batch_features,
     calibrate,
-    enumerate_knob_configs,
-    rank_agreement,
-    rank_correlation,
 )
 from .executor import FaithfulRunReport, SpiderExecutor
 from .kernel_matrix import (
@@ -74,14 +68,8 @@ __all__ = [
     "CalibrationResult",
     "CalibrationSample",
     "CostModel",
-    "KnobConfig",
-    "TunedPlan",
-    "TunedProfile",
     "batch_features",
     "calibrate",
-    "enumerate_knob_configs",
-    "rank_agreement",
-    "rank_correlation",
     "EncodedKernelRow",
     "build_fused_operator",
     "stack_encoded_rows",

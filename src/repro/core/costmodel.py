@@ -1,4 +1,4 @@
-"""Calibrated roofline cost model for the serving stack's knobs.
+"""Calibrated roofline cost model of the emulator serving stack.
 
 :mod:`repro.analysis.perfmodel` models the *paper's* A100 — fixed,
 hand-calibrated constants mapping Table-1 costs to Figure-10 bars.  This
@@ -28,25 +28,13 @@ actual geometry — line blocks of ``batch_rows`` padded lines, ``ceil(n/L)``
 chunks per line, the operator's ``_plan_blocks`` column-split rule — so
 knob changes (``mac_threads``, ``mac_col_block``, ``temporal_mode``, batch
 cap) move the features the same way they move the real pipeline.
-
-On top sit the tuned-profile artifacts: :class:`KnobConfig` /
-:func:`enumerate_knob_configs` span the knob space, and
-:class:`TunedProfile` is the JSON artifact ``repro tune`` emits and
-:class:`~repro.serve.service.StencilService` loads at startup (explicit
-constructor arguments always win; see the precedence rules there).
-
-This module must not import :mod:`repro.serve` (the serving layer imports
-core); profile plan keys are therefore stored as pure strings/tuples, and
-the serve side converts its ``PlanKey`` fields directly.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,24 +43,13 @@ from ..sptc.macpool import col_blocks
 from .kernel_matrix import choose_L, padded_width
 
 __all__ = [
-    "PROFILE_FORMAT",
-    "PROFILE_VERSION",
     "BatchFeatures",
     "batch_features",
     "CostModel",
     "CalibrationSample",
     "CalibrationResult",
     "calibrate",
-    "KnobConfig",
-    "enumerate_knob_configs",
-    "TunedPlan",
-    "TunedProfile",
-    "rank_correlation",
-    "rank_agreement",
 ]
-
-PROFILE_FORMAT = "repro-tuned-profile"
-PROFILE_VERSION = 1
 
 #: serial_frac values the calibration grid-searches (the Amdahl knee is
 #: shallow; a coarse grid suffices and keeps the fit deterministic)
@@ -397,8 +374,7 @@ def calibrate(
     """Fit the five roofline constants from measured batches.
 
     Needs at least 4 samples (four linear parameters); spanning several
-    batch sizes and thread counts makes the system well-conditioned —
-    the ``repro tune`` probe stage is designed to do exactly that.
+    batch sizes and thread counts makes the system well-conditioned.
     """
     if len(samples) < 4:
         raise ValueError(
@@ -416,316 +392,3 @@ def calibrate(
         n_samples=len(samples),
         iterations=iters,
     )
-
-
-# ----------------------------------------------------------------------
-# knob space
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KnobConfig:
-    """One point of the tunable-knob space the model ranks."""
-
-    mac_threads: int
-    mac_col_block: int
-    temporal_mode: str
-    max_batch_size: int
-
-    @property
-    def label(self) -> str:
-        return (
-            f"t{self.mac_threads}-b{self.mac_col_block}-"
-            f"{self.temporal_mode}-cap{self.max_batch_size}"
-        )
-
-
-def enumerate_knob_configs(
-    *,
-    thread_counts: Optional[Sequence[int]] = None,
-    col_block_widths: Sequence[int] = (64, 1024, FusedStencilOperator.COL_BLOCK),
-    temporal_modes: Sequence[str] = ("exact", "fused"),
-    batch_caps: Sequence[int] = (8,),
-) -> List[KnobConfig]:
-    """The candidate grid ``repro tune`` searches.
-
-    ``thread_counts`` defaults to powers of two up to the machine's core
-    count (always including 1, the serial baseline).  Serial configs keep
-    only one column width — the block split is inert at ``mac_threads=1``,
-    so enumerating widths there would only pad the search with duplicates.
-    """
-    if thread_counts is None:
-        cores = os.cpu_count() or 1
-        thread_counts = sorted(
-            {1, 2, cores} | {1 << k for k in range(cores.bit_length())}
-        )
-        thread_counts = [t for t in thread_counts if 1 <= t <= max(2, cores)]
-    configs: List[KnobConfig] = []
-    seen = set()
-    for mode in temporal_modes:
-        for cap in batch_caps:
-            for t in thread_counts:
-                widths = col_block_widths if t > 1 else col_block_widths[:1]
-                for w in widths:
-                    key = (t, w if t > 1 else 0, mode, cap)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    configs.append(
-                        KnobConfig(
-                            mac_threads=int(t),
-                            mac_col_block=int(w),
-                            temporal_mode=mode,
-                            max_batch_size=int(cap),
-                        )
-                    )
-    return configs
-
-
-# ----------------------------------------------------------------------
-# rank diagnostics
-# ----------------------------------------------------------------------
-
-
-def rank_correlation(
-    predicted: Sequence[float], measured: Sequence[float]
-) -> float:
-    """Spearman rank correlation (scipy-free; ordinal ranks)."""
-    p = np.asarray(predicted, dtype=np.float64)
-    m = np.asarray(measured, dtype=np.float64)
-    if p.shape != m.shape or p.size < 2:
-        raise ValueError("need two equal-length sequences of >= 2 values")
-    rp = np.argsort(np.argsort(p)).astype(np.float64)
-    rm = np.argsort(np.argsort(m)).astype(np.float64)
-    if np.all(rp == rp[0]) or np.all(rm == rm[0]):
-        return 0.0
-    return float(np.corrcoef(rp, rm)[0, 1])
-
-
-def rank_agreement(
-    predicted: Sequence[float],
-    measured: Sequence[float],
-    *,
-    tie_rel: float = 0.05,
-) -> bool:
-    """Does the model's top pick win (or near-tie) the measurement?
-
-    The model's argmin must be within ``tie_rel`` of the measured best —
-    near-ties count as agreement because on a tied machine (e.g. one
-    core, where threads=1 vs 2 measure identically) strict argmin
-    equality is a coin flip the model cannot and need not call.
-    """
-    p = np.asarray(predicted, dtype=np.float64)
-    m = np.asarray(measured, dtype=np.float64)
-    best_by_model = int(np.argmin(p))
-    best_measured = float(np.min(m))
-    return float(m[best_by_model]) <= best_measured * (1.0 + tie_rel)
-
-
-# ----------------------------------------------------------------------
-# tuned-profile artifact
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TunedPlan:
-    """Tuned per-plan knobs, keyed by the serving layer's PlanKey fields.
-
-    ``tile_key = ()`` is the wildcard: applies to any grid shape of the
-    (fingerprint, variant, precision) plan family that has no exact-shape
-    entry.
-    """
-
-    fingerprint: str
-    variant: str
-    precision: str
-    tile_key: Tuple[int, ...] = ()
-    mac_threads: Optional[int] = None
-    mac_col_block: Optional[int] = None
-    predicted_ms: Optional[float] = None
-    measured_ms: Optional[float] = None
-
-    @property
-    def index_key(self) -> Tuple[str, str, str, Tuple[int, ...]]:
-        return (
-            self.fingerprint,
-            self.variant,
-            self.precision,
-            tuple(self.tile_key),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "variant": self.variant,
-            "precision": self.precision,
-            "tile_key": list(self.tile_key),
-            "mac_threads": self.mac_threads,
-            "mac_col_block": self.mac_col_block,
-            "predicted_ms": self.predicted_ms,
-            "measured_ms": self.measured_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TunedPlan":
-        mt = data.get("mac_threads")
-        mb = data.get("mac_col_block")
-        return cls(
-            fingerprint=str(data["fingerprint"]),
-            variant=str(data["variant"]),
-            precision=str(data["precision"]),
-            tile_key=tuple(int(s) for s in data.get("tile_key", ())),
-            mac_threads=None if mt is None else int(mt),
-            mac_col_block=None if mb is None else int(mb),
-            predicted_ms=data.get("predicted_ms"),
-            measured_ms=data.get("measured_ms"),
-        )
-
-
-@dataclass(frozen=True)
-class TunedProfile:
-    """The ``repro tune`` JSON artifact a service loads at startup.
-
-    Precedence contract (enforced by :class:`StencilService`): explicit
-    constructor arguments beat the profile, the profile beats built-in
-    defaults.  The profile carries both service-level knobs
-    (``temporal_mode``, ``max_batch_size``) and per-plan MAC knobs.
-    """
-
-    model: Optional[CostModel] = None
-    temporal_mode: Optional[str] = None
-    max_batch_size: Optional[int] = None
-    plans: Tuple[TunedPlan, ...] = ()
-    #: free-form provenance: workload description, fit quality, host info,
-    #: creation time (stamped by the tuner, not here — core code must stay
-    #: deterministic)
-    meta: Dict[str, object] = field(default_factory=dict)
-
-    # -- serialization -------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "format": PROFILE_FORMAT,
-            "version": PROFILE_VERSION,
-            "model": None if self.model is None else self.model.to_dict(),
-            "service": {
-                "temporal_mode": self.temporal_mode,
-                "max_batch_size": self.max_batch_size,
-            },
-            "plans": [p.to_dict() for p in self.plans],
-            "meta": dict(self.meta),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TunedProfile":
-        cls.validate(data)
-        service = data.get("service") or {}
-        cap = service.get("max_batch_size")
-        return cls(
-            model=(
-                None
-                if data.get("model") is None
-                else CostModel.from_dict(data["model"])
-            ),
-            temporal_mode=service.get("temporal_mode"),
-            max_batch_size=None if cap is None else int(cap),
-            plans=tuple(
-                TunedPlan.from_dict(p) for p in data.get("plans", ())
-            ),
-            meta=dict(data.get("meta") or {}),
-        )
-
-    @staticmethod
-    def validate(data: dict) -> None:
-        """Raise ``ValueError`` describing every schema violation found."""
-        errors: List[str] = []
-        if not isinstance(data, dict):
-            raise ValueError("tuned profile must be a JSON object")
-        if data.get("format") != PROFILE_FORMAT:
-            errors.append(
-                f"format must be {PROFILE_FORMAT!r}, got {data.get('format')!r}"
-            )
-        if data.get("version") != PROFILE_VERSION:
-            errors.append(
-                f"version must be {PROFILE_VERSION}, got {data.get('version')!r}"
-            )
-        model = data.get("model")
-        if model is not None:
-            missing = [
-                k
-                for k in (
-                    "overhead_s",
-                    "block_overhead_s",
-                    "inv_peak",
-                    "inv_bw",
-                    "serial_frac",
-                )
-                if k not in model
-            ]
-            if missing:
-                errors.append(f"model missing keys: {missing}")
-        service = data.get("service")
-        if service is not None:
-            mode = service.get("temporal_mode")
-            if mode is not None and mode not in ("exact", "fused"):
-                errors.append(f"service.temporal_mode invalid: {mode!r}")
-            cap = service.get("max_batch_size")
-            if cap is not None and int(cap) < 1:
-                errors.append(f"service.max_batch_size must be >= 1: {cap}")
-        for i, p in enumerate(data.get("plans", ())):
-            for k in ("fingerprint", "variant", "precision"):
-                if not p.get(k):
-                    errors.append(f"plans[{i}] missing {k!r}")
-            mt = p.get("mac_threads")
-            if mt is not None and int(mt) < 1:
-                errors.append(f"plans[{i}].mac_threads must be >= 1: {mt}")
-            mb = p.get("mac_col_block")
-            if mb is not None and int(mb) < 2:
-                errors.append(f"plans[{i}].mac_col_block must be >= 2: {mb}")
-        if errors:
-            raise ValueError(
-                "invalid tuned profile: " + "; ".join(errors)
-            )
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "TunedProfile":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    # -- consumption ---------------------------------------------------
-    def plan_index(
-        self,
-    ) -> Dict[Tuple[str, str, str, Tuple[int, ...]], TunedPlan]:
-        return {p.index_key: p for p in self.plans}
-
-    def plan_for(
-        self,
-        fingerprint: str,
-        variant: str,
-        precision: str,
-        tile_key: Tuple[int, ...] = (),
-    ) -> Optional[TunedPlan]:
-        """Exact-shape entry if present, else the ``()`` wildcard entry."""
-        idx = self.plan_index()
-        hit = idx.get((fingerprint, variant, precision, tuple(tile_key)))
-        if hit is not None:
-            return hit
-        return idx.get((fingerprint, variant, precision, ()))
-
-    def without_service_knobs(self) -> "TunedProfile":
-        """Copy with service-level knobs cleared (explicit args won)."""
-        return replace(self, temporal_mode=None, max_batch_size=None)
-
-    def without_mac_knobs(self) -> "TunedProfile":
-        """Copy with per-plan MAC knobs cleared (explicit args won)."""
-        return replace(
-            self,
-            plans=tuple(
-                replace(p, mac_threads=None, mac_col_block=None)
-                for p in self.plans
-            ),
-        )

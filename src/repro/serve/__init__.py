@@ -31,11 +31,7 @@ requests into batched SpTC passes:
   (:class:`FaultPlan` / :class:`FaultInjector`) driving the self-healing
   layer's chaos tests: seeded worker kills, slab corruption, queue
   stalls, pack failures — all counted parent-side so schedules are
-  replayable and survive worker respawns;
-* :mod:`tuning` — the ``repro tune`` engine: calibrate the
-  :mod:`repro.core.costmodel` roofline from measured serve batches, rank
-  the knob grid, cross-check top candidates against micro-benches, and
-  emit the tuned-profile JSON a :class:`StencilService` loads at startup.
+  replayable and survive worker respawns.
 """
 
 from .batching import BatchQueue, DeadlineExceeded, ServeRequest
@@ -61,13 +57,6 @@ from .telemetry import (
     ServiceStats,
     ServiceTelemetry,
     format_service_report,
-)
-from .tuning import (
-    default_knob_config,
-    format_tune_report,
-    measure_batch_ms,
-    probe_calibration_samples,
-    tune_profile,
 )
 from .tracing import (
     Span,
@@ -122,9 +111,4 @@ __all__ = [
     "to_chrome_trace",
     "validate_chrome_trace",
     "WorkerPool",
-    "default_knob_config",
-    "format_tune_report",
-    "measure_batch_ms",
-    "probe_calibration_samples",
-    "tune_profile",
 ]

@@ -22,9 +22,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Tuple
 
-from ..core.costmodel import TunedPlan
 from ..core.pipeline import CompilePlan, SpiderVariant, build_compile_plan
 from ..gpu.device import A100_80GB_PCIE, DeviceSpec
 from ..sptc.mma import MmaPrecision
@@ -227,15 +226,6 @@ class PlanCache:
         so every path that drops a plan (LRU overflow, byte-cap eviction,
         :meth:`clear`) shuts the evicted plan's pool down first; a cached
         plan must never leak parked threads.
-    tuned_plans:
-        Optional per-plan knob overrides from a ``repro tune`` profile
-        (:class:`~repro.core.costmodel.TunedPlan` objects or their
-        pure-data dicts — the dict form is what the process backend ships
-        to worker mains).  :meth:`knobs_for` resolves a key against them:
-        an exact ``tile_key`` entry wins over the ``()`` wildcard, and a
-        tuned value of ``None`` falls back to the cache-wide default —
-        results are bit-identical for every resolution, these knobs only
-        steer parallelism.
     """
 
     def __init__(
@@ -245,9 +235,6 @@ class PlanCache:
         max_workspace_bytes: Optional[int] = None,
         mac_threads: Optional[int] = None,
         mac_col_block: Optional[int] = None,
-        tuned_plans: Optional[
-            Sequence[Union[TunedPlan, dict]]
-        ] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -266,13 +253,6 @@ class PlanCache:
         self.mac_col_block = (
             None if mac_col_block is None else int(mac_col_block)
         )
-        self._tuned: Dict[
-            Tuple[str, str, str, Tuple[int, ...]], TunedPlan
-        ] = {}
-        for entry in tuned_plans or ():
-            if isinstance(entry, dict):
-                entry = TunedPlan.from_dict(entry)
-            self._tuned[entry.index_key] = entry
         self._entries: "OrderedDict[PlanKey, CompilePlan]" = OrderedDict()
         self._lock = threading.RLock()
         self._hits = 0
@@ -308,37 +288,6 @@ class PlanCache:
         """Resident keys in LRU -> MRU order (eviction order)."""
         with self._lock:
             return tuple(self._entries.keys())
-
-    # ------------------------------------------------------------------
-    @property
-    def tuned_plans(self) -> Tuple[TunedPlan, ...]:
-        """The active per-plan overrides (pure data, ships anywhere)."""
-        return tuple(self._tuned.values())
-
-    def knobs_for(
-        self, key: PlanKey
-    ) -> Tuple[Optional[int], Optional[int]]:
-        """Effective ``(mac_threads, mac_col_block)`` for one plan key.
-
-        Tuned per-plan entries (exact ``tile_key`` first, then the ``()``
-        wildcard) override the cache-wide defaults field by field; with no
-        tuned entry this is exactly the pre-tuning behaviour.
-        """
-        hit = self._tuned.get(
-            (key.fingerprint, key.variant, key.precision, key.tile_key)
-        )
-        if hit is None:
-            hit = self._tuned.get(
-                (key.fingerprint, key.variant, key.precision, ())
-            )
-        if hit is None:
-            return self.mac_threads, self.mac_col_block
-        return (
-            self.mac_threads if hit.mac_threads is None else hit.mac_threads,
-            self.mac_col_block
-            if hit.mac_col_block is None
-            else hit.mac_col_block,
-        )
 
     def lookup(self, key: PlanKey) -> Optional[CompilePlan]:
         """Counted lookup: refreshes recency on hit, returns None on miss."""
@@ -466,15 +415,14 @@ class PlanCache:
                 "plan_compile", args={"variant": key.variant}
             ):
                 if builder is None:
-                    mac_threads, mac_col_block = self.knobs_for(key)
                     built = build_compile_plan(
                         spec,
                         precision=key.precision,
                         variant=SpiderVariant(key.variant),
                         device=self.device,
                         grid_shape=key.tile_key or None,
-                        mac_threads=mac_threads,
-                        mac_col_block=mac_col_block,
+                        mac_threads=self.mac_threads,
+                        mac_col_block=self.mac_col_block,
                     )
                 else:
                     built = builder()

@@ -30,7 +30,6 @@ from typing import Deque, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.costmodel import TunedPlan, TunedProfile
 from ..core.pipeline import SpiderVariant
 from ..gpu.device import A100_80GB_PCIE, DeviceSpec
 from ..sptc.macpool import resolve_mac_threads
@@ -125,18 +124,6 @@ class StencilService:
         Ordered-MAC column-block width plan parameter (``None`` = the
         operator default, see
         :class:`~repro.sptc.fused.FusedStencilOperator`).
-    tuned_profile:
-        A ``repro tune`` artifact to load at startup: a
-        :class:`~repro.core.costmodel.TunedProfile`, its dict form, or a
-        path to the JSON file.  Precedence is strict and per-knob:
-        **explicit constructor arguments beat the profile, the profile
-        beats built-in defaults**.  ``temporal_mode`` / ``max_batch_size``
-        left at ``None`` take the profile's values (else ``"exact"`` / 8);
-        per-plan MAC knobs apply only where ``mac_threads`` /
-        ``mac_col_block`` were not given explicitly.  Results stay
-        bit-identical for every profile — tuned knobs steer parallelism
-        and batching, never numerics.  The active profile is visible in
-        :meth:`stats` and the service report.
     retry_policy:
         The self-healing budget knobs (:class:`repro.serve.workers.RetryPolicy`):
         per-request retry budget, worker restart budget and backoff, slab
@@ -160,7 +147,7 @@ class StencilService:
         self,
         *,
         workers: int = 4,
-        max_batch_size: Optional[int] = None,
+        max_batch_size: int = 8,
         max_wait_s: float = 0.002,
         cache_capacity: int = 64,
         precision: str = MmaPrecision.EXACT,
@@ -168,11 +155,10 @@ class StencilService:
         device: DeviceSpec = A100_80GB_PCIE,
         backend: str = "thread",
         transport: str = "shm",
-        temporal_mode: Optional[str] = None,
+        temporal_mode: str = "exact",
         trace: bool = False,
         mac_threads: Optional[int] = None,
         mac_col_block: Optional[int] = None,
-        tuned_profile: Union[TunedProfile, dict, str, None] = None,
         retry_policy: Optional[RetryPolicy] = None,
         default_deadline_s: Optional[float] = None,
         faults: Union[FaultPlan, dict, str, None] = None,
@@ -183,41 +169,6 @@ class StencilService:
             raise ValueError(
                 f"default_deadline_s must be > 0, got {default_deadline_s}"
             )
-        profile = tuned_profile
-        if isinstance(profile, str):
-            profile = TunedProfile.load(profile)
-        elif isinstance(profile, dict):
-            profile = TunedProfile.from_dict(profile)
-        self.tuned_profile: Optional[TunedProfile] = profile
-        tuned_plans: Tuple[TunedPlan, ...] = ()
-        if profile is not None:
-            # per-knob precedence: a None argument adopts the profile's
-            # value; an explicit argument masks exactly that knob
-            if temporal_mode is None:
-                temporal_mode = profile.temporal_mode
-            if max_batch_size is None:
-                max_batch_size = profile.max_batch_size
-            tuned_plans = profile.plans
-            if mac_threads is not None or mac_col_block is not None:
-                tuned_plans = tuple(
-                    _dc_replace(
-                        p,
-                        mac_threads=(
-                            None if mac_threads is not None else p.mac_threads
-                        ),
-                        mac_col_block=(
-                            None
-                            if mac_col_block is not None
-                            else p.mac_col_block
-                        ),
-                    )
-                    for p in tuned_plans
-                )
-        if temporal_mode is None:
-            temporal_mode = "exact"
-        if max_batch_size is None:
-            max_batch_size = 8
-        self._tuned_plans = tuned_plans
         if transport not in WORKER_TRANSPORTS:
             raise ValueError(
                 f"unsupported transport {transport!r}; "
@@ -278,7 +229,6 @@ class StencilService:
                 metrics=self.metrics,
                 mac_threads=mac_threads,
                 mac_col_block=mac_col_block,
-                tuned_plans=tuned_plans,
                 retry_policy=self._policy,
                 faults=fault_plan,
             )
@@ -295,17 +245,12 @@ class StencilService:
                 device=device,
                 mac_threads=self.mac_threads,
                 mac_col_block=mac_col_block,
-                tuned_plans=tuned_plans,
             )
             self._sync_cache.bind_metrics(self.metrics)
         self.metrics.gauge(
             "repro_serve_mac_threads",
             "Effective ordered-MAC threads per worker shard.",
         ).set(float(self.mac_threads))
-        self.metrics.gauge(
-            "repro_serve_tuned_plans",
-            "Per-plan knob overrides active from the loaded tuned profile.",
-        ).set(float(len(tuned_plans)))
 
     # ------------------------------------------------------------------
     @property
@@ -743,21 +688,7 @@ class StencilService:
             stages=stage_totals(self.tracer.snapshot()),
             metrics=self.metrics.samples(),
             mac_threads=self.mac_threads,
-            tuned_profile=self._tuned_profile_summary(),
         )
-
-    def _tuned_profile_summary(self) -> Optional[dict]:
-        """Pure-data view of the active tuned profile (None if untuned)."""
-        if self.tuned_profile is None:
-            return None
-        meta = self.tuned_profile.meta
-        return {
-            "plans": len(self._tuned_plans),
-            "temporal_mode": self.tuned_profile.temporal_mode,
-            "max_batch_size": self.tuned_profile.max_batch_size,
-            "source": meta.get("source"),
-            "winner": meta.get("winner"),
-        }
 
     def format_report(self) -> str:
         """Human-readable stats block (see :func:`format_service_report`)."""

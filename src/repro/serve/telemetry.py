@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -345,9 +345,6 @@ class ServiceStats:
     #: effective ordered-MAC threads per worker shard (the resolved
     #: per-shard budget every plan runs with; 1 = serial MAC)
     mac_threads: int = 1
-    #: summary of the loaded ``repro tune`` profile (plan-override count,
-    #: service knobs, provenance) — ``None`` when the service is untuned
-    tuned_profile: Optional[Dict[str, object]] = None
 
     @property
     def cache_hit_rate(self) -> float:
@@ -539,18 +536,6 @@ def format_service_report(stats: ServiceStats) -> str:
         f"{'workers':<22} {stats.workers} ({backend})",
         f"{'MAC threads':<22} {stats.mac_threads} per shard"
         + (" (serial)" if stats.mac_threads == 1 else ""),
-    ]
-    if stats.tuned_profile is not None:
-        tp = stats.tuned_profile
-        parts = [f"{tp.get('plans', 0)} plan overrides"]
-        if tp.get("temporal_mode"):
-            parts.append(f"temporal {tp['temporal_mode']}")
-        if tp.get("max_batch_size"):
-            parts.append(f"batch cap {tp['max_batch_size']}")
-        if tp.get("source"):
-            parts.append(f"via {tp['source']}")
-        lines.append(f"{'tuned profile':<22} " + "  ".join(parts))
-    lines += [
         f"{'requests served':<22} {t.requests}",
         f"{'sweeps advanced':<22} {t.sweeps}",
         f"{'fused batches':<22} {t.batches}",

@@ -99,7 +99,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.costmodel import TunedPlan
 from ..core.pipeline import PlanRecipe, SpiderVariant
 from ..core.temporal import fuse_kernel, repair_boundary_ring
 from ..gpu.device import A100_80GB_PCIE, DeviceSpec
@@ -356,11 +355,8 @@ def _run_super_sweep(
     # the fused plan compiles through a steps-carrying PlanRecipe: the
     # recipe's wire form ships the small base spec, and every consumer
     # derives byte-identical fused weights (deterministic convolution).
-    # MAC knobs resolve through the *base* key: tuned profiles keyed on
-    # the submitted spec's fingerprint cover its super-sweeps too, and
-    # with no tuned entry this is the cache's per-shard budget as before
-    # — a super-sweep must not oversubscribe either way
-    mac_threads, mac_col_block = cache.knobs_for(key.base())
+    # MAC knobs are the cache's per-shard budget, as for the plain plan —
+    # a super-sweep must not oversubscribe
     recipe = PlanRecipe(
         spec=spec,
         precision=key.precision,
@@ -368,8 +364,8 @@ def _run_super_sweep(
         device=cache.device,
         grid_shape=key.tile_key or None,
         steps=steps,
-        mac_threads=mac_threads,
-        mac_col_block=mac_col_block,
+        mac_threads=cache.mac_threads,
+        mac_col_block=cache.mac_col_block,
     )
     fused_plan = cache.get_or_build(fused_key, builder=recipe.build)
     # one fused GEMM across the whole batch, then ring repair with the
@@ -751,7 +747,6 @@ def _process_worker_main(
     temporal_mode: str = "exact",
     mac_threads: Optional[int] = None,
     mac_col_block: Optional[int] = None,
-    tuned_plans: Optional[Sequence[dict]] = None,
 ) -> None:
     """Worker-process shard loop (module-level so every mp start method —
     fork *and* spawn — can import it).
@@ -781,11 +776,6 @@ def _process_worker_main(
     compiles carries it.  Pools are created lazily in *this* process —
     a forked child never inherits parent pool threads (see
     :mod:`repro.sptc.macpool`).
-
-    ``tuned_plans`` is the parent's tuned-profile plan list in pure-data
-    dict form (:meth:`~repro.core.costmodel.TunedPlan.to_dict`) — worker
-    args must stay picklable under every mp start method, so the profile
-    object itself never crosses the boundary.
     """
     device = DeviceSpec.from_dict(device_dict)
     cache = PlanCache(
@@ -793,7 +783,6 @@ def _process_worker_main(
         device=device,
         mac_threads=mac_threads,
         mac_col_block=mac_col_block,
-        tuned_plans=tuned_plans,
     )
     attachments = SlabAttachments()
     clock = time.monotonic
@@ -918,12 +907,6 @@ class WorkerPool:
         Ordered-MAC column-block width plan parameter (``None`` = the
         operator default; see
         :class:`~repro.sptc.fused.FusedStencilOperator`).
-    tuned_plans:
-        Per-plan knob overrides from a loaded tuned profile
-        (:class:`~repro.core.costmodel.TunedPlan`, or their pure-data
-        dicts).  Every shard's cache resolves plan keys against them —
-        thread shards directly, process shards via the dict form shipped
-        in the worker args — so both backends compile identical plans.
     retry_policy:
         The self-healing knobs (:class:`RetryPolicy`); ``None`` means the
         defaults — supervision, retry, degradation and inline fallback
@@ -939,9 +922,9 @@ class WorkerPool:
     ------------------------------
     A shard whose worker process dies without its exit sentinel is
     *respawned* — fresh process, fresh slab pair, fresh task queue, same
-    plan knobs and tuned plans, so the replacement compiles byte-identical
-    plans — under an exponentially backed-off restart budget that refills
-    after ``budget_window_s`` of good behaviour.  In-flight batches the
+    plan knobs, so the replacement compiles byte-identical plans — under
+    an exponentially backed-off restart budget that refills after
+    ``budget_window_s`` of good behaviour.  In-flight batches the
     dead worker owned re-enqueue through each request's retry budget
     (byte-identical re-execution: requests are pure functions of
     (plan, grid), and duplicated in-flight copies are absorbed by the
@@ -972,7 +955,6 @@ class WorkerPool:
         metrics: Optional[MetricsRegistry] = None,
         mac_threads: Optional[int] = None,
         mac_col_block: Optional[int] = None,
-        tuned_plans: Optional[Sequence[TunedPlan]] = None,
         retry_policy: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
@@ -1001,10 +983,6 @@ class WorkerPool:
         self.mac_threads = resolve_mac_threads(mac_threads, num_workers)
         self.mac_col_block = (
             None if mac_col_block is None else int(mac_col_block)
-        )
-        self.tuned_plans: Tuple[TunedPlan, ...] = tuple(
-            TunedPlan.from_dict(p) if isinstance(p, dict) else p
-            for p in (tuned_plans or ())
         )
         self.telemetry = telemetry
         self.tracer = tracer
@@ -1056,7 +1034,6 @@ class WorkerPool:
                     device=device,
                     mac_threads=self.mac_threads,
                     mac_col_block=self.mac_col_block,
-                    tuned_plans=self.tuned_plans,
                 )
                 for _ in range(num_workers)
             ]
@@ -1168,9 +1145,6 @@ class WorkerPool:
                     temporal_mode,
                     self.mac_threads,
                     self.mac_col_block,
-                    # pure-data form: worker args must pickle under every
-                    # mp start method
-                    [p.to_dict() for p in self.tuned_plans],
                 ),
                 name=f"spider-serve-proc-{i}",
                 daemon=True,
@@ -1362,9 +1336,21 @@ class WorkerPool:
                 p.terminate()
                 p.join(timeout=5.0)
         self._dispatcher.join()
-        for q in self._task_qs:
-            q.close()
-        self._result_q.close()
+        if self._result_q is not None:
+            # under spawn/forkserver an mp queue unlinks its named
+            # semaphores only once it is freed, and its feeder thread
+            # holds two of them until it exits, so join the feeder threads
+            # and drop the queues (reference cycles keep a closed pool
+            # itself alive until a cyclic gc pass).  A worker that exited
+            # cleanly read its exit sentinel, the last item its queue was
+            # fed, so that feeder is idle; one feeding a dead worker may
+            # block on a full pipe forever and is not joined
+            for p, q in zip(self.workers, self._task_qs):
+                q.close()
+                if p.exitcode == 0:
+                    q.join_thread()
+            self._result_q.close()
+            self._task_qs, self._result_q = [], None
         # every worker has unmapped (joined above), every result is
         # resolved (dispatcher joined): unlink the shared-memory slabs
         for slabs in self._slabs:
@@ -2022,8 +2008,8 @@ class WorkerPool:
 
     def _respawn_shard(self, i: int, exited: List[bool]) -> None:
         """Replace a dead shard worker: fresh process, fresh slab pair,
-        fresh task queue — same context, same plan knobs, same tuned
-        plans, so the replacement compiles byte-identical plans.
+        fresh task queue — same context, same plan knobs, so the
+        replacement compiles byte-identical plans.
 
         Runs on the dispatcher thread only.  The swap happens under the
         pending lock after the new process has started, and a close()
@@ -2053,7 +2039,6 @@ class WorkerPool:
                 self.temporal_mode,
                 self.mac_threads,
                 self.mac_col_block,
-                [p.to_dict() for p in self.tuned_plans],
             ),
             name=f"spider-serve-proc-{i}",
             daemon=True,
@@ -2146,7 +2131,6 @@ class WorkerPool:
                     device=self._device,
                     mac_threads=self.mac_threads,
                     mac_col_block=self.mac_col_block,
-                    tuned_plans=self.tuned_plans,
                 )
             return self._parent_cache
 

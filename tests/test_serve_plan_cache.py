@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import Spider, SpiderVariant, build_compile_plan
 from repro.serve import CacheStats, PlanCache, plan_key_for, spec_fingerprint
+from repro.serve.workers import execute_serve_batch
 from repro.stencil import Grid, make_box_kernel, named_stencil
 
 
@@ -132,6 +133,28 @@ def test_capacity_validation_and_clear():
     assert len(cache) == 0
     st = cache.stats()
     assert st.misses == 1  # counters survive clear
+
+
+def test_mac_knobs_reach_plain_and_fused_plans(rng):
+    """Every plan a cache compiles carries the cache's ``mac_threads`` /
+    ``mac_col_block``, including the fused super-sweep plan a
+    ``steps > 1`` batch builds in fused temporal mode."""
+    spec = named_stencil("heat2d")
+    cache = PlanCache(capacity=4, mac_threads=2, mac_col_block=96)
+    key = plan_key_for(spec, grid_shape=(24, 24), steps=2)
+    grids = [Grid(rng.standard_normal((24, 24))) for _ in range(2)]
+    try:
+        execute_serve_batch(cache, key, spec, grids, temporal_mode="fused")
+        plans = {k: cache.lookup(k) for k in cache.keys()}
+        assert len(plans) == 2 and key.base() in plans
+        plain = plans.pop(key.base())
+        (fused,) = plans.values()
+        assert fused.spec.radius == 2 * spec.radius
+        for plan in (plain, fused):
+            assert plan.executor.mac_threads == 2
+            assert plan.executor.mac_col_block == 96
+    finally:
+        cache.release_pools()
 
 
 def test_get_or_build_requires_builder_or_spec():
