@@ -17,11 +17,13 @@ Model form (per served batch)::
 
 The max() is the classic roofline hinge (SNIPPETS #1: runtime = ops /
 min(peak, intensity × bandwidth), rearranged to seconds); the Amdahl
-factor models the ordered MAC's column-block threading (pad/gather/GEMM
-parallelize, the ordered scatter-accumulate does not); the two overhead
-terms absorb per-batch serving cost and per-GEMM-block dispatch cost
-(csl-experiments' measured-constant style: analytic counts × fitted
-overheads).  Five parameters, all fit by :func:`calibrate`.
+factor models the MAC pool's threading (pad, gather, GEMM and the
+range-partitioned accumulator add run on it once a block is big enough;
+``serial_frac`` absorbs what stays serial: small blocks, the store and
+Python-side dispatch); the two overhead terms absorb per-batch serving
+cost and per-GEMM-block dispatch cost (csl-experiments'
+measured-constant style: analytic counts × fitted overheads).  Five
+parameters, all fit by :func:`calibrate`.
 
 Feature extraction (:func:`batch_features`) mirrors the fused executor's
 actual geometry — line blocks of ``batch_rows`` padded lines, ``ceil(n/L)``
@@ -105,8 +107,10 @@ def _sweep_geometry(
     """(ops, bytes, n_blocks, parallel) of ONE fused sweep.
 
     Mirrors :class:`~repro.core.executor._PlanWorkspace` and the fused
-    operator's ``_plan_blocks`` exactly — these are the counts the real
-    pipeline executes, not an idealized tiling.
+    operator's ``_plan_blocks`` — these are the counts the real pipeline
+    executes, not an idealized tiling — except that the accumulator term
+    counts interior lines, where the executor's accumulator also spans
+    the halo-position lines it never stores.
     """
     L = choose_L(radius)
     width = padded_width(radius)

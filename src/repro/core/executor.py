@@ -143,7 +143,7 @@ class FaithfulRunReport:
 
 
 class _PlanWorkspace:
-    """Preallocated buffers + precomputed index arrays for one geometry.
+    """Preallocated buffers + precomputed row offsets for one geometry.
 
     A workspace is keyed by grid shape and sized for the largest batch it
     has served (``batch`` is a *capacity*: every per-batch array is a
@@ -157,13 +157,16 @@ class _PlanWorkspace:
     * ``padded`` — the stacked, halo-padded input buffer, one row per
       padded *line* (last-axis vector), right-extended with the structural
       x-pad the windowing needs;
-    * ``base_plines`` / ``row_cols`` — the precomputed line-gather index
-      arrays: padded-line index of interior line ``l`` at kernel-row
-      offset 0, and per-row ``base + offset(q)``;
-    * ``x*`` / ``y`` / ``gather`` — flat GEMM staging buffers, viewed at
-      the current line-block's size;
-    * ``acc`` — the output accumulator, ``(n_lines, chunks, L)`` in the
-      MAC dtype.
+    * ``poffs`` — each kernel row's flat padded-line offset: row ``q``
+      of the output anchored at padded line ``a`` reads padded line
+      ``a + poffs[q]``;
+    * ``x*`` / ``y`` — flat GEMM staging buffers, viewed at the current
+      line-block's size;
+    * ``acc`` — the flat output accumulator in the MAC dtype, viewed per
+      sweep as ``(L, n_pad_lines * chunks)``: lane-major like the GEMM
+      output and indexed by padded line, so a grid's interior lines sit
+      at their padded anchors and halo-position lines are computed but
+      never stored.
     """
 
     __slots__ = (
@@ -173,24 +176,16 @@ class _PlanWorkspace:
         "lead_shape",
         "pad_lead",
         "chunks",
-        "npad",
-        "need",
         "chunks_ext",
-        "lines_per_grid",
         "pad_lines_per_grid",
-        "n_lines",
         "n_pad_lines",
         "blk",
-        "base_plines",
         "poffs",
-        "row_cols",
         "padded",
         "x_flat",
         "x16_flat",
         "x32_flat",
         "y_flat",
-        "gather_flat",
-        "idx_scratch",
         "acc",
     )
 
@@ -218,32 +213,18 @@ class _PlanWorkspace:
         self.lead_shape = lead_shape
         self.pad_lead = tuple(s + 2 * r for s in lead_shape)
         self.chunks = math.ceil(n / L)
-        self.npad = self.chunks * L
-        self.need = self.npad - L + width
+        need = self.chunks * L - L + width
         # padded-line length rounded to L so lines reshape into an
         # (line, chunk, lane) view the X gather can slice directly
-        self.chunks_ext = math.ceil(self.need / L)
-        self.lines_per_grid = int(np.prod(lead_shape)) if lead_shape else 1
+        self.chunks_ext = math.ceil(need / L)
         self.pad_lines_per_grid = (
             int(np.prod(self.pad_lead)) if self.pad_lead else 1
         )
-        self.n_lines = batch * self.lines_per_grid
         self.n_pad_lines = batch * self.pad_lines_per_grid
         self.blk = min(batch_rows, self.n_pad_lines)
 
-        # padded-line index of interior line l at kernel-row offset 0:
-        # the batch axis joins the leading geometry unpadded
-        full_lead = (batch,) + lead_shape
-        full_pad = (batch,) + self.pad_lead
-        coords = np.unravel_index(np.arange(self.n_lines), full_lead)
-        flat = np.zeros(self.n_lines, dtype=np.int64)
-        stride = 1
-        for dim in reversed(range(len(full_pad))):
-            flat = flat + coords[dim] * stride
-            stride *= full_pad[dim]
-        self.base_plines = flat
-
         # flat padded-line offset of each kernel row's leading offsets
+        # (strictly ascending in q: row-major offsets within one halo)
         strides = []
         stride = 1
         for s in reversed(self.pad_lead):
@@ -253,11 +234,6 @@ class _PlanWorkspace:
         self.poffs = tuple(
             sum(o * st for o, st in zip(off, strides))
             for off in lead_offset_table
-        )
-        # per-row line-gather index arrays (ascending in l, and for a
-        # fixed l strictly ascending in q — the accumulation-order anchor)
-        self.row_cols = np.stack(
-            [self.base_plines + p for p in self.poffs]
         )
 
         self.padded = np.empty((self.n_pad_lines, self.chunks_ext * L))
@@ -272,20 +248,12 @@ class _PlanWorkspace:
             self.x16_flat = None
             self.x32_flat = None
         self.y_flat = np.empty(m_active * cells, dtype=acc_dtype)
-        self.gather_flat = np.empty(L * cells, dtype=acc_dtype)
-        self.idx_scratch = np.empty(self.blk, dtype=np.int64)
-        self.acc = np.empty((self.n_lines, self.chunks, L), dtype=acc_dtype)
+        self.acc = np.empty(
+            L * self.n_pad_lines * self.chunks, dtype=acc_dtype
+        )
 
     def nbytes(self) -> int:
-        total = (
-            self.padded.nbytes
-            + self.y_flat.nbytes
-            + self.gather_flat.nbytes
-            + self.idx_scratch.nbytes
-            + self.acc.nbytes
-            + self.base_plines.nbytes
-            + self.row_cols.nbytes
-        )
+        total = self.padded.nbytes + self.y_flat.nbytes + self.acc.nbytes
         for buf in (self.x_flat, self.x16_flat, self.x32_flat):
             if buf is not None:
                 total += buf.nbytes
@@ -328,8 +296,9 @@ class SpiderExecutor:
     #: serial (a small pad loop is cheaper than pool dispatch)
     PAD_PARALLEL_MIN = 1 << 15
 
-    #: gathered-element floor (``n_x_rows * cells``) below which the
-    #: X-row gather stays serial
+    #: per-block element floor below which the X-row gather
+    #: (``n_x_rows * cells`` written) and the accumulator add (``L`` times
+    #: its cell range written) stay serial
     GATHER_PARALLEL_MIN = 1 << 16
 
     def __init__(
@@ -549,8 +518,9 @@ class SpiderExecutor:
         float32→float64 widening is exact.  What the chained form *skips*
         is the per-sweep serving overhead — per-grid ``Grid``
         construction, batch re-validation, and a fresh whole-batch output
-        allocation + copy per sweep; intermediates live in one reused
-        ping buffer and feed the next sweep's halo pad directly.
+        allocation + copy per sweep; intermediates are stored straight
+        into the padded buffer's centers, where the next sweep's halo pad
+        finds them in place.
         """
         grids, shape = self._validate_batch(grids)
         if steps < 1:
@@ -565,9 +535,6 @@ class SpiderExecutor:
         all_zero = all(bc is BoundaryCondition.ZERO for bc in bcs)
         pad_mode = "full"
         for _ in range(steps - 1):
-            # intermediates stay in the workspace accumulator: the views
-            # are consumed into the padded buffer at the start of the
-            # next sweep, before the accumulator is zeroed
             views = self._sweep_sources(sources, shape, None, pad_mode)
             sources = list(zip(views, bcs))
             if all_zero:
@@ -644,17 +611,19 @@ class SpiderExecutor:
         shape: Tuple[int, ...],
         dest: Union[np.ndarray, List[np.ndarray], None],
         pad_mode: str = "full",
-    ) -> Optional[List[np.ndarray]]:
-        """One fused sweep of ``(data, bc)`` sources into ``dest``.
+    ) -> Union[np.ndarray, List[np.ndarray]]:
+        """One fused sweep of ``(data, bc)`` sources into ``dest``;
+        returns the destinations.
 
         The ``Grid``-free inner form shared by the single-sweep entry
         points and the chained :meth:`run_batch_steps`.  ``dest=None``
-        leaves the results in the workspace accumulator and returns
-        per-grid views of it (valid until the next sweep through this
-        workspace zeroes the accumulator — the chained path consumes them
-        first).  ``pad_mode="center"`` rewrites only the interior of the
-        padded buffer, relying on halos a previous ZERO-BC sweep already
-        zeroed.
+        stores the results into the centers of the workspace's padded
+        buffer and returns those per-grid views (valid until the next
+        sweep through this workspace pads over them — the chained path
+        feeds them to that very pad, whose center write is then a
+        self-assignment numpy skips).  ``pad_mode="center"`` rewrites only
+        the interior of the padded buffer, relying on halos a previous
+        ZERO-BC sweep already zeroed.
         """
         B = len(sources)
         hook = _STAGE_HOOK
@@ -668,20 +637,19 @@ class SpiderExecutor:
         # the workspace is sized for its largest batch so far; this call's
         # batch runs in leading-dim prefix views of the same buffers
         n_pad_lines = B * ws.pad_lines_per_grid
-        n_lines = B * ws.lines_per_grid
 
         padded2d = ws.padded[:n_pad_lines]
         padded_grids = padded2d.reshape(
             (B,) + ws.pad_lead + (ws.chunks_ext * L,)
         )
+        r = self.spec.radius
+        center = tuple(slice(r, r + s) for s in shape)
         if emit is not None:
             t_pad = time.monotonic()
         # per-grid pads write disjoint padded_grids[b] slices, so large
         # batches spread over the MAC pool (order-free: no grid's halo
         # reads another grid's buffer)
         if pad_mode == "center":
-            r = self.spec.radius
-            center = tuple(slice(r, r + s) for s in shape)
 
             def pad_one(b: int) -> None:
                 padded_grids[b][center] = sources[b][0]
@@ -707,8 +675,22 @@ class SpiderExecutor:
         # so swapped X row i is the strided slice [:, sh_i : sh_i+chunks, t_i]
         padded_lanes = padded2d.reshape(n_pad_lines, ws.chunks_ext, L)
 
-        acc = ws.acc[:n_lines]
+        # the accumulator as (lane, cell), cell e = a * chunks + c being
+        # chunk c of the output anchored at padded line a: the layout of
+        # the GEMM's y rows (m = row * L + lane), so active row q adds its
+        # block output with one shifted slice, coffs[q] cells back.
+        # Output cell e takes row q from source cell e + coffs[q] (padded
+        # line a + poffs[q]), which rises with q, and blocks run in
+        # ascending padded line; so row q's term lands in an earlier
+        # block than row q+1's or in the same one, where add_rows adds
+        # rows in ascending q.  Tasks own disjoint cell ranges, so every
+        # element still sums its rows in ascending q — the numerics
+        # contract — for any thread count, batch size and batch_rows.
+        acc = ws.acc[: L * n_pad_lines * chunks].reshape(
+            L, n_pad_lines * chunks
+        )
         acc[...] = 0
+        coffs = [ws.poffs[q] * chunks for q in op.active_kernel_rows]
         for p0 in range(0, n_pad_lines, ws.blk):
             p1 = min(p0 + ws.blk, n_pad_lines)
             pl = p1 - p0
@@ -763,48 +745,70 @@ class SpiderExecutor:
             op.execute(x2, out=y2, stream=self.stream, emit=emit)
             if emit is not None:
                 t_scatter = time.monotonic()
-            y3 = y2[:, :cells].reshape(op.m_active, pl, chunks)
-            # scatter-accumulate each kernel row's block in ascending q;
-            # a line's contributions arrive in ascending q because its
-            # padded-line index is strictly increasing in q.  This stage
-            # stays serial even under mac_threads > 1: different q ranges
-            # overlap in acc, and the ascending-q accumulation order *is*
-            # the numerics contract
-            for qi, q in enumerate(op.active_kernel_rows):
-                rc = ws.row_cols[q, :n_lines]
-                lo = int(np.searchsorted(rc, p0, side="left"))
-                hi = int(np.searchsorted(rc, p1, side="left"))
-                if lo >= hi:
-                    continue
-                nl = hi - lo
-                idx = ws.idx_scratch[:nl]
-                np.subtract(rc[lo:hi], p0, out=idx)
-                g3 = ws.gather_flat[: L * nl * chunks].reshape(
-                    L, nl, chunks
-                )
-                np.take(y3[qi * L : (qi + 1) * L], idx, axis=1, out=g3)
-                acc[lo:hi] += g3.transpose(1, 2, 0)
+            if coffs:
+                # this block's source cells [c0, c0 + cells) feed output
+                # cells [lo, hi): row q's slice lands coffs[q] cells back
+                c0 = p0 * chunks
+                lo = max(0, c0 - coffs[-1])
+                hi = c0 + cells - coffs[0]
+
+                def add_rows(e0: int, e1: int) -> None:
+                    for qi, off in enumerate(coffs):
+                        s0 = max(e0, c0 - off)
+                        s1 = min(e1, c0 + cells - off)
+                        if s0 < s1:
+                            acc[:, s0:s1] += y2[
+                                qi * L : (qi + 1) * L,
+                                s0 + off - c0 : s1 + off - c0,
+                            ]
+
+                # one task per thread: each task's numpy calls are GIL
+                # hand-offs, so fewer, larger slices thread better
+                if (
+                    op.mac_threads > 1
+                    and L * (hi - lo) >= self.GATHER_PARALLEL_MIN
+                ):
+                    op.map_tasks(
+                        add_rows,
+                        [
+                            (lo + e0, lo + e1)
+                            for e0, e1 in split_ranges(
+                                hi - lo, op.mac_threads
+                            )
+                        ],
+                    )
+                elif hi > lo:
+                    add_rows(lo, hi)
             if emit is not None:
                 emit(
                     "mac.scatter", t_scatter, time.monotonic() - t_scatter
                 )
 
-        res2d = acc.reshape(n_lines, ws.npad)[:, : ws.n]
-        lpg = ws.lines_per_grid
-        if dest is None:
-            return [
-                res2d[b * lpg : (b + 1) * lpg].reshape(shape)
-                for b in range(B)
-            ]
         if emit is not None:
             t_store = time.monotonic()
+        if dest is None:
+            # chained sweeps store straight into the padded centers, where
+            # the next sweep's pad finds them already in place
+            dest = [padded_grids[b][center] for b in range(B)]
+        # the one lane transpose per sweep: (L, *lead, chunks) anchors of
+        # grid b into its (*lead, n) lines, tail lanes of a last axis that
+        # is not a multiple of L one by one
+        n, lead = ws.n, ws.lead_shape
+        nf = n // L
+        acc_grids = acc.reshape((L, B) + ws.pad_lead + (chunks,))
+        interior = tuple(slice(0, s) for s in lead)
         for b in range(B):
+            src = acc_grids[(slice(None), b) + interior]
+            d = dest[b]
             np.copyto(
-                dest[b].reshape(lpg, ws.n), res2d[b * lpg : (b + 1) * lpg]
+                d[..., : nf * L].reshape(lead + (nf, L), copy=False),
+                np.moveaxis(src[..., :nf], 0, -1),
             )
+            for t in range(n - nf * L):
+                d[..., nf * L + t] = src[t, ..., nf]
         if emit is not None:
             emit("mac.store", t_store, time.monotonic() - t_store)
-        return None
+        return dest
 
     def _pad_into(
         self, data: np.ndarray, bc: BoundaryCondition, dest: np.ndarray

@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import queue as std_queue
@@ -93,9 +94,9 @@ import signal
 import threading
 import time
 import warnings
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from contextlib import nullcontext
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -1002,6 +1003,7 @@ class WorkerPool:
         self._parent_cache_lock = threading.Lock()
         self._feeder_busy = self._dispatcher_busy = None
         self._dead_shard_counter = None
+        self._slab_gauge = None
         if metrics is not None:
             self._feeder_busy = metrics.counter(
                 "repro_serve_feeder_busy_seconds_total",
@@ -1102,10 +1104,11 @@ class WorkerPool:
             for slabs in self._slabs:
                 slabs[0].bind_metrics(metrics)
                 slabs[1].bind_metrics(metrics)
-            metrics.gauge(
+            self._slab_gauge = metrics.gauge(
                 "repro_serve_shm_slab_bytes",
                 "Shared memory reserved across all shard slab pairs.",
-            ).set_function(
+            )
+            self._slab_gauge.set_function(
                 lambda: sum(
                     self.slab_nbytes(i) for i in range(num_workers)
                 )
@@ -1132,14 +1135,18 @@ class WorkerPool:
             for _ in range(num_workers)
         ]
         self._task_qs = [ctx.Queue() for _ in range(num_workers)]
-        self._result_q = ctx.Queue()
+        # one result queue per worker incarnation, like the task queues:
+        # a worker SIGKILLed mid-put dies holding its queue's cross-process
+        # write lock, so a queue shared with its replacement (or another
+        # shard) would block every later writer forever
+        self._result_qs = [ctx.Queue() for _ in range(num_workers)]
         self.workers = [
             ctx.Process(
                 target=_process_worker_main,
                 args=(
                     i,
                     self._task_qs[i],
-                    self._result_q,
+                    self._result_qs[i],
                     self._cache_capacity,
                     device.to_dict(),
                     temporal_mode,
@@ -1323,6 +1330,7 @@ class WorkerPool:
             # no equivalent: their pools died with the worker processes.
             for cache in self.caches:
                 cache.release_pools()
+            self._drop_self_references()
             return
         self._join_feeders()
         for p in self.workers:
@@ -1336,27 +1344,39 @@ class WorkerPool:
                 p.terminate()
                 p.join(timeout=5.0)
         self._dispatcher.join()
-        if self._result_q is not None:
+        if self._result_qs:
             # under spawn/forkserver an mp queue unlinks its named
             # semaphores only once it is freed, and its feeder thread
             # holds two of them until it exits, so join the feeder threads
-            # and drop the queues (reference cycles keep a closed pool
-            # itself alive until a cyclic gc pass).  A worker that exited
-            # cleanly read its exit sentinel, the last item its queue was
-            # fed, so that feeder is idle; one feeding a dead worker may
-            # block on a full pipe forever and is not joined
+            # and drop the queues.  A worker that exited cleanly read its
+            # exit sentinel, the last item its queue was fed, so that
+            # feeder is idle; one feeding a dead worker may block on a
+            # full pipe forever and is not joined
             for p, q in zip(self.workers, self._task_qs):
                 q.close()
                 if p.exitcode == 0:
                     q.join_thread()
-            self._result_q.close()
-            self._task_qs, self._result_q = [], None
+            for q in self._result_qs:
+                q.close()
+            self._task_qs, self._result_qs = [], []
         # every worker has unmapped (joined above), every result is
         # resolved (dispatcher joined): unlink the shared-memory slabs
         for slabs in self._slabs:
             if slabs is not None:
                 slabs[0].close()
                 slabs[1].close()
+        self._drop_self_references()
+
+    def _drop_self_references(self) -> None:
+        """Break the reference cycles a closed pool would otherwise sit
+        in until a cyclic gc pass: each queue's expiry callback and the
+        slab-bytes gauge hold bound references to ``self``.  Runs once
+        every thread that could fire them has been joined; the gauge
+        keeps reading 0, the bytes the unlinked slabs now reserve."""
+        for q in self.queues:
+            q.on_expired = None
+        if self._slab_gauge is not None:
+            self._slab_gauge.set(0.0)
 
     def _join_feeders(self) -> None:
         """Join the per-shard feeder threads — loudly.
@@ -1694,11 +1714,11 @@ class WorkerPool:
         request returns its slab blocks to the shard's free lists.
         """
         exited = [False] * self.num_workers
+        inbox: Deque = deque()
         last_sweep = time.monotonic()
         while not self._dispatch_done(exited):
-            try:
-                msg = self._result_q.get(timeout=0.05)
-            except std_queue.Empty:
+            msg = self._next_result(inbox, exited, 0.05)
+            if msg is None:
                 self._reap_dead_workers(exited)
                 self._maybe_respawn(exited)
                 last_sweep = time.monotonic()
@@ -1908,6 +1928,35 @@ class WorkerPool:
             f"(exitcode {self.workers[shard].exitcode})"
         )
 
+    def _next_result(
+        self, inbox: Deque, exited: List[bool], timeout: float
+    ):
+        """The next result message, or None when no shard sends one
+        within ``timeout``.
+
+        Refills ``inbox`` with one message from every ready result queue
+        of a shard still running, so a busy shard cannot starve the
+        others.  A shard marked exited is not read again: after a clean
+        exit nothing follows its sentinel, and after a death its results
+        belong to batches the death sweep already re-placed.  Dispatcher
+        thread only; it is also the only thread that swaps a shard's
+        queue (on respawn).
+        """
+        if not inbox:
+            queues = [
+                q for q, done in zip(self._result_qs, exited) if not done
+            ]
+            ready = multiprocessing.connection.wait(
+                [q._reader for q in queues], timeout
+            )
+            for q in queues:
+                if q._reader in ready:
+                    try:
+                        inbox.append(q.get(block=False))
+                    except std_queue.Empty:
+                        pass
+        return inbox.popleft() if inbox else None
+
     def _reap_dead_workers(self, exited: List[bool]) -> None:
         """Detect dead-without-sentinel workers and run their shard's
         death handling — explicit recovery or explicit errors, never a
@@ -2017,6 +2066,7 @@ class WorkerPool:
         down and the shard tombstones.
         """
         old_q = self._task_qs[i]
+        old_rq = self._result_qs[i]
         old_slabs = self._slabs[i]
         new_slabs = None
         if self.transport == "shm":
@@ -2028,12 +2078,13 @@ class WorkerPool:
                 new_slabs[0].bind_metrics(self.metrics)
                 new_slabs[1].bind_metrics(self.metrics)
         task_q = self._ctx.Queue()
+        result_q = self._ctx.Queue()
         proc = self._ctx.Process(
             target=_process_worker_main,
             args=(
                 i,
                 task_q,
-                self._result_q,
+                result_q,
                 self._cache_capacity,
                 self._device.to_dict(),
                 self.temporal_mode,
@@ -2049,6 +2100,7 @@ class WorkerPool:
             if not rollback:
                 self.workers[i] = proc
                 self._task_qs[i] = task_q
+                self._result_qs[i] = result_q
                 self._slabs[i] = new_slabs
                 self._restarts[i] += 1
                 self._shard_state[i] = "up"
@@ -2081,17 +2133,21 @@ class WorkerPool:
                 new_slabs[1].close()
             task_q.close()
             task_q.cancel_join_thread()
+            result_q.close()
         else:
             if self.telemetry is not None:
                 self.telemetry.record_worker_restart()
         # the dead incarnation's transport retires: every pending entry
         # and block of the old epoch was swept at death, so nothing will
-        # read the old queue or free against the old allocators
+        # read the old queues or free against the old allocators (results
+        # still in the old result queue belong to swept batches)
         if old_slabs is not None:
             old_slabs[0].close()
             old_slabs[1].close()
         old_q.close()
         old_q.cancel_join_thread()
+        if not rollback:
+            old_rq.close()
 
     def _place(self, r: ServeRequest) -> bool:
         """Route a request to a live shard, else run it on the inline

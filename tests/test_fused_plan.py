@@ -244,13 +244,13 @@ def test_workspace_reused_across_calls(rng):
     ex.run_batch(grids)
     assert ex._workspace_builds == 1
     ws = next(iter(ex._workspaces.values()))
-    buffers = (ws.padded, ws.x_flat, ws.y_flat, ws.acc, ws.gather_flat)
+    buffers = (ws.padded, ws.x_flat, ws.y_flat, ws.acc)
     for _ in range(3):
         ex.run_batch([Grid.random((32, 40), rng) for _ in range(3)])
     assert ex._workspace_builds == 1  # steady state: no arena rebuilds
     ws2 = next(iter(ex._workspaces.values()))
     assert ws2 is ws
-    for a, b in zip(buffers, (ws2.padded, ws2.x_flat, ws2.y_flat, ws2.acc, ws2.gather_flat)):
+    for a, b in zip(buffers, (ws2.padded, ws2.x_flat, ws2.y_flat, ws2.acc)):
         assert a is b  # the same buffers, not reallocations
 
 

@@ -16,6 +16,7 @@ threshold, so every differential case here pins ``mac_col_block`` low —
 otherwise "threads=4" would silently test the serial loop twice.
 """
 
+import collections
 import os
 import pickle
 import threading
@@ -190,13 +191,36 @@ def test_pool_needs_at_least_two_threads():
 # differential: executor, threads=1 vs threads=N byte-identical
 # ----------------------------------------------------------------------
 
+#: inputs big enough that the executor's gather and accumulator add run
+#: on the MAC pool too, not only the column-blocked GEMM; the 3D star has
+#: gapped active rows, a last axis that is not a multiple of L and
+#: several line blocks
+POOLED_CASES = [
+    ("star", 2, 2, (400, 203)),
+    ("star", 3, 1, (24, 40, 130)),
+]
+
 DIFF_CASES = [
     ("box", 1, 1, (97,)),
     ("star", 1, 3, (64,)),
     ("box", 2, 2, (18, 23)),
     ("star", 2, 1, (16, 16)),
     ("box", 3, 1, (7, 8, 9)),
-]
+] + POOLED_CASES
+
+
+def _spy_pool(monkeypatch):
+    """Count, by task-function name, the MAC pool runs of > 1 task."""
+    ran = collections.Counter()
+    real_run = MacThreadPool.run
+
+    def run(self, fn, tasks):
+        if len(tasks) > 1:
+            ran[fn.__name__] += 1
+        return real_run(self, fn, tasks)
+
+    monkeypatch.setattr(MacThreadPool, "run", run)
+    return ran
 
 
 @pytest.mark.parametrize("precision", ["exact", "fp16"])
@@ -205,8 +229,11 @@ DIFF_CASES = [
     DIFF_CASES,
     ids=[f"{k}{d}D-r{r}" for k, d, r, _ in DIFF_CASES],
 )
-def test_threaded_mac_bit_identical(kind, dims, radius, shape, precision):
+def test_threaded_mac_bit_identical(
+    kind, dims, radius, shape, precision, monkeypatch
+):
     """threads=1 vs threads=4 across dims x precision x all BCs."""
+    ran = _spy_pool(monkeypatch)
     rng = np.random.default_rng(dims * 10 + radius)
     make = make_box_kernel if kind == "box" else make_star_kernel
     spec = make(dims, radius, rng)
@@ -222,6 +249,8 @@ def test_threaded_mac_bit_identical(kind, dims, radius, shape, precision):
         )
         assert serial.dtype == threaded.dtype
         assert serial.tobytes() == threaded.tobytes(), (kind, bc)
+    if (kind, dims, radius, shape) in POOLED_CASES:
+        assert ran["gather_rows"] and ran["add_rows"], dict(ran)
 
 
 def test_block_width_never_perturbs_numerics():
@@ -236,19 +265,25 @@ def test_block_width_never_perturbs_numerics():
         assert out.tobytes() == base.tobytes(), block
 
 
-def test_batched_sweeps_bit_identical_under_threads():
-    """run_batch (the serving execution shape) is thread-invariant too."""
+def test_batched_sweeps_bit_identical_under_threads(monkeypatch):
+    """run_batch (the serving execution shape) is thread-invariant too,
+    including batches big enough to pad, gather and add on the pool."""
+    ran = _spy_pool(monkeypatch)
     rng = np.random.default_rng(21)
     spec = make_star_kernel(2, 2, rng)
-    grids = [Grid.random((14, 17), rng) for _ in range(5)]
+    small = [Grid.random((14, 17), rng) for _ in range(5)]
+    big = [Grid.random((200, 203), rng, bc) for bc in ALL_BCS[1:]]
     ex1 = SpiderExecutor(spec, mac_threads=1)
     exN = SpiderExecutor(spec, mac_threads=4, mac_col_block=SMALL_BLOCK)
     try:
-        assert (
-            ex1.run_batch(grids).tobytes() == exN.run_batch(grids).tobytes()
-        )
+        for grids in (small, big):
+            assert (
+                ex1.run_batch(grids).tobytes()
+                == exN.run_batch(grids).tobytes()
+            )
     finally:
         exN.release_mac_pool()
+    assert ran["pad_one"] and ran["gather_rows"] and ran["add_rows"], dict(ran)
 
 
 def test_all_zero_kernel_skips_gemm_identically():

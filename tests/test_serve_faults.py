@@ -236,6 +236,31 @@ def test_worker_respawn_serves_subsequent_traffic():
     assert stats.telemetry.errors == 0
 
 
+def test_worker_killed_holding_its_result_queue_lock_is_replaced():
+    """A worker SIGKILLed mid-put dies holding its result queue's
+    cross-process write lock.  Its replacement must not write through
+    that lock, or its first result blocks forever and the caller hangs.
+    The parent holds the lock here, standing in for the dead worker."""
+    spec = named_stencil("heat2d")
+    grids = _grids(n=2)
+    ref = _reference(spec, grids)
+    with StencilService(
+        workers=1, backend="process", max_batch_size=1, max_wait_s=0.001,
+    ) as svc:
+        svc.submit(spec, grids[0]).result(timeout=120)
+        result_q = svc._pool._result_qs[0]
+        result_q._wlock.acquire()
+        try:
+            svc._pool.workers[0].kill()
+            out = svc.submit(spec, grids[1]).result(timeout=30)
+        finally:
+            result_q._wlock.release()
+        stats = svc.stats()
+    assert out.tobytes() == ref[1].tobytes()
+    assert stats.telemetry.worker_restarts >= 1
+    assert stats.telemetry.errors == 0
+
+
 def test_rate_chaos_thread_backend_zero_failures():
     """Seeded fail_batch chaos on the thread backend: the retry rung
     alone keeps the stream loss-free and bit-identical."""

@@ -10,8 +10,10 @@ backends share — requests submitted before ``close()`` complete, submits
 after ``close()`` raise, and no worker processes are left behind.
 """
 
+import gc
 import os
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -282,6 +284,23 @@ def test_process_close_is_idempotent(rng):
     svc.close()
     svc.close()  # second close must be a no-op, not a hang or error
     assert all(not p.is_alive() for p in svc._pool.workers)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_closed_pool_is_freed_without_cyclic_gc(backend, rng):
+    """A closed pool sits in no reference cycle: once its service is
+    dropped, reference counting alone frees it, with the cyclic gc off."""
+    gc.collect()
+    gc.disable()
+    try:
+        svc = StencilService(workers=1, backend=backend)
+        svc.run(named_stencil("heat2d"), Grid.random((12, 12), rng))
+        svc.close()
+        pool = weakref.ref(svc._pool)
+        del svc
+        assert pool() is None
+    finally:
+        gc.enable()
 
 
 def test_process_pool_safe_with_live_parent_threads(rng):
