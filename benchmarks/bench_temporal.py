@@ -1,4 +1,4 @@
-"""Temporal-fusion serving benchmark: fused super-sweeps vs per-sweep
+"""Temporal serving benchmark: in-worker super-sweeps vs per-sweep
 round-trips.
 
 A client that wants ``t`` sweeps of the same plan has two ways through
@@ -12,9 +12,9 @@ A client that wants ``t`` sweeps of the same plan has two ways through
   worker advances the whole coalesced batch ``t`` chained sweeps without
   the intermediates ever leaving it.
 
-Both paths are byte-identical under the default ``temporal_mode="exact"``
-(the differential suite in ``tests/test_serve_temporal.py`` enforces it;
-this benchmark re-asserts it on the measured traffic), so the comparison
+Both paths run the same exact sweeps, so they are byte-identical (the
+differential suite in ``tests/test_serve_temporal.py`` enforces it; this
+benchmark re-asserts it on the measured traffic), and the comparison
 is purely about throughput, reported as **sweeps/s** — the unit that stays
 comparable across ``t``.  Results append to ``BENCH_temporal.json``.
 

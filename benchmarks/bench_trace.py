@@ -13,7 +13,7 @@ the property that makes the traces *useful*:
   against shared-runner noise);
 * **attribution coverage** — on both the thread and the process/shm
   backends, the execution-stage spans (``decode / plan_compile / mac /
-  temporal_chain / ring_repair``) must sum to within 15% of the measured
+  temporal_chain``) must sum to within 15% of the measured
   batch service time, else the trace is decorative rather than an
   accounting of where the time went.
 

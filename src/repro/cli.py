@@ -169,7 +169,6 @@ def _cmd_serve_bench(args) -> int:
         max_wait_s=args.wait_ms / 1e3,
         backend=args.backend,
         transport=args.transport,
-        temporal_mode=args.temporal_mode,
         trace=trace_path is not None,
         mac_threads=args.mac_threads,
         faults=faults,
@@ -231,7 +230,6 @@ def _cmd_serve_bench(args) -> int:
             "backend": stats.backend,
             "transport": stats.transport,
             "steps": args.steps,
-            "temporal_mode": args.temporal_mode,
             "mac_threads": stats.mac_threads,
             "sweeps": t.sweeps,
             "throughput_rps": throughput,
@@ -298,7 +296,6 @@ def _cmd_trace(args) -> int:
         max_wait_s=args.wait_ms / 1e3,
         backend=args.backend,
         transport=args.transport,
-        temporal_mode=args.temporal_mode,
         trace=True,
         mac_threads=args.mac_threads,
     ) as svc:
@@ -466,15 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="sweeps per request: steps > 1 runs each request as one "
         "in-worker temporal super-sweep (bit-identical to that many "
-        "sequential round-trips under the default exact mode)",
-    )
-    p.add_argument(
-        "--temporal-mode",
-        choices=["exact", "fused"],
-        default="exact",
-        help="multi-sweep execution: 'exact' chains ordered sweeps "
-        "in-worker; 'fused' runs the self-convolved super-kernel as one "
-        "GEMM plus exact boundary-ring repair",
+        "sequential round-trips)",
     )
     p.add_argument(
         "--mac-threads",
@@ -542,9 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--wait-ms", type=float, default=2.0, help="batching deadline (ms)"
     )
     p.add_argument("--steps", type=int, default=1)
-    p.add_argument(
-        "--temporal-mode", choices=["exact", "fused"], default="exact"
-    )
     p.add_argument(
         "--mac-threads",
         type=int,

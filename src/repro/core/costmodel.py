@@ -28,8 +28,9 @@ parameters, all fit by :func:`calibrate`.
 Feature extraction (:func:`batch_features`) mirrors the fused executor's
 actual geometry — line blocks of ``batch_rows`` padded lines, ``ceil(n/L)``
 chunks per line, the operator's ``_plan_blocks`` column-split rule — so
-knob changes (``mac_threads``, ``mac_col_block``, ``temporal_mode``, batch
-cap) move the features the same way they move the real pipeline.
+knob changes (``mac_threads``, ``mac_col_block``, batch cap) move the
+features the same way they move the real pipeline; ``temporal_mode``
+compares chained sweeps against a kernel-fused super-step.
 """
 
 from __future__ import annotations
@@ -176,11 +177,12 @@ def batch_features(
 ) -> BatchFeatures:
     """Features of one served batch under the given knobs.
 
-    ``temporal_mode="fused"`` with ``steps > 1`` models the serving
-    runtime's temporal super-sweep: one sweep of the ``steps``-fold
-    self-convolved kernel (radius ``steps·r``), paying the batch overhead
-    once.  ``"exact"`` models ``steps`` chained base-radius sweeps, each
-    with its own per-sweep overhead.
+    ``temporal_mode="fused"`` with ``steps > 1`` models
+    :class:`~repro.core.temporal.TemporalSpider`'s super-step: one sweep
+    of the ``steps``-fold self-convolved kernel (radius ``steps·r``),
+    paying the batch overhead once.  ``"exact"`` models ``steps`` chained
+    base-radius sweeps, each with its own per-sweep overhead — what the
+    serving runtime runs for a ``steps > 1`` request.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")

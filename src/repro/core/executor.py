@@ -343,10 +343,14 @@ class SpiderExecutor:
         self._lead_offset_table: Tuple[Tuple[int, ...], ...] = tuple(
             self._lead_offsets(q) for q in range(self.n_rows)
         )
-        # guards the arena *bookkeeping* (dict mutation vs. the stats
-        # reader); buffer contents are still single-writer — the serving
-        # layer routes each plan to exactly one worker
+        # _ws_lock guards the arena *bookkeeping* (dict mutation vs. the
+        # stats reader).  Buffer contents and the MAC pool are
+        # single-caller, and _run_lock enforces it: every batch entry
+        # point holds it for its whole body, so threads sharing one plan
+        # (sync-path callers, solver sessions, a process-wide executor)
+        # take turns instead of overwriting each other's workspace
         self._ws_lock = threading.Lock()
+        self._run_lock = threading.Lock()
         self._workspaces: "OrderedDict[Tuple, _PlanWorkspace]" = OrderedDict()
         self._workspace_builds = 0
 
@@ -392,32 +396,17 @@ class SpiderExecutor:
             ws = sum(w.nbytes() for w in self._workspaces.values())
         return int(ws + self._fused.nbytes())
 
-    def trim_workspaces(self, keep: int = 0) -> int:
-        """Drop all but the ``keep`` most-recently-used workspace
-        geometries from the arena; returns the bytes freed.
-
-        Trimmed geometries rebuild lazily on their next request (compiled
-        artifacts are untouched), so this is the cheap way for a serving
-        cache to reclaim memory from plans whose cold grid shapes — not
-        the plans themselves — are pinning bytes.
-        """
-        if keep < 0:
-            raise ValueError(f"keep must be >= 0, got {keep}")
-        freed = 0
-        with self._ws_lock:
-            while len(self._workspaces) > keep:
-                _, ws = self._workspaces.popitem(last=False)
-                freed += ws.nbytes()
-        return int(freed)
-
     def release_mac_pool(self) -> None:
         """Shut down the fused operator's MAC pool threads (idempotent).
 
-        The serving plan cache calls this on eviction and trim so an
-        evicted plan never leaves parked helper threads behind; the pool
-        re-creates lazily if the plan executes again.
+        The serving plan cache calls this on eviction and close so a
+        dropped plan never leaves parked helper threads behind; the pool
+        re-creates lazily if the plan executes again.  It waits for an
+        in-flight batch on another thread: a pool shut down mid-``run``
+        would leave that caller waiting on helpers that already exited.
         """
-        self._fused.shutdown_pool()
+        with self._run_lock:
+            self._fused.shutdown_pool()
 
     def run(self, grid: Grid) -> np.ndarray:
         """One stencil sweep; returns the updated interior.
@@ -448,7 +437,8 @@ class SpiderExecutor:
         """
         grids, shape = self._validate_batch(grids)
         out = np.empty((len(grids),) + shape, dtype=self.acc_dtype)
-        self._run_fused(grids, shape, out)
+        with self._run_lock:
+            self._run_fused(grids, shape, out)
         return out
 
     def run_batch_split(
@@ -471,7 +461,8 @@ class SpiderExecutor:
         """
         grids, shape = self._validate_batch(grids)
         outs = self._check_out(out, len(grids), shape)
-        self._run_fused(grids, shape, outs)
+        with self._run_lock:
+            self._run_fused(grids, shape, outs)
         return outs
 
     def _check_out(
@@ -534,13 +525,16 @@ class SpiderExecutor:
         # center changes (value-dependent BCs re-pad fully every sweep)
         all_zero = all(bc is BoundaryCondition.ZERO for bc in bcs)
         pad_mode = "full"
-        for _ in range(steps - 1):
-            views = self._sweep_sources(sources, shape, None, pad_mode)
-            sources = list(zip(views, bcs))
-            if all_zero:
-                pad_mode = "center"
         outs = self._check_out(out, len(grids), shape)
-        self._sweep_sources(sources, shape, outs, pad_mode)
+        # one hold for the whole chain: the intermediates live in the
+        # workspace's padded buffer, which another caller would pad over
+        with self._run_lock:
+            for _ in range(steps - 1):
+                views = self._sweep_sources(sources, shape, None, pad_mode)
+                sources = list(zip(views, bcs))
+                if all_zero:
+                    pad_mode = "center"
+            self._sweep_sources(sources, shape, outs, pad_mode)
         return outs
 
     # -- fused internals ------------------------------------------------

@@ -117,17 +117,8 @@ class PlanRecipe:
 
     ``to_dict()`` is JSON-compatible (strings, ints, floats, lists), so
     recipes can also be logged, diffed or sent over non-pickle transports.
-
-    ``steps > 1`` describes a *temporally fused* plan: ``build()`` first
-    derives the ``steps``-fold self-convolved kernel
-    (:func:`~repro.core.temporal.fuse_kernel`) and compiles that — the
-    recipe the serving runtime's fused temporal mode builds its fused
-    plans through.  The recipe's wire form ships only the small base spec
-    plus ``steps`` (fused kernels have radius ``steps·r``, so their weight
-    tensors are large), and every consumer derives byte-identical fused
-    weights because the convolution sequence is deterministic.  Note the
-    *built* plan is self-contained: its ``spec`` is the fused kernel, so
-    re-pickling it ships the fused weights, not this recipe.
+    A recipe always describes a single-sweep plan; multi-sweep serving
+    chains sweeps through it.
     """
 
     spec: StencilSpec
@@ -135,7 +126,6 @@ class PlanRecipe:
     variant: SpiderVariant
     device: DeviceSpec
     grid_shape: Optional[Tuple[int, ...]] = None
-    steps: int = 1
     #: ordered-MAC parallelism plan parameters (``None`` = adaptive /
     #: operator default).  Deliberately the *requested* values, so a
     #: recipe rehydrated in another process re-resolves the adaptive
@@ -143,10 +133,6 @@ class PlanRecipe:
     #: numerics are thread-count-invariant.
     mac_threads: Optional[int] = None
     mac_col_block: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
 
     def to_dict(self) -> dict:
         return {
@@ -157,7 +143,6 @@ class PlanRecipe:
             "grid_shape": (
                 None if self.grid_shape is None else list(self.grid_shape)
             ),
-            "steps": int(self.steps),
             "mac_threads": (
                 None if self.mac_threads is None else int(self.mac_threads)
             ),
@@ -170,8 +155,8 @@ class PlanRecipe:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlanRecipe":
-        """Inverse of :meth:`to_dict`; tolerates legacy dicts without
-        ``steps`` or the MAC parallelism keys."""
+        """Inverse of :meth:`to_dict`; tolerates legacy dicts without the
+        MAC parallelism keys."""
         shape = data.get("grid_shape")
         mac_threads = data.get("mac_threads")
         mac_col_block = data.get("mac_col_block")
@@ -181,7 +166,6 @@ class PlanRecipe:
             variant=SpiderVariant(data["variant"]),
             device=DeviceSpec.from_dict(data["device"]),
             grid_shape=None if shape is None else tuple(int(s) for s in shape),
-            steps=int(data.get("steps", 1)),
             mac_threads=None if mac_threads is None else int(mac_threads),
             mac_col_block=(
                 None if mac_col_block is None else int(mac_col_block)
@@ -190,13 +174,8 @@ class PlanRecipe:
 
     def build(self) -> "CompilePlan":
         """Deterministically recompile the plan this recipe describes."""
-        spec = self.spec
-        if self.steps > 1:
-            from .temporal import fuse_kernel  # local: temporal imports us
-
-            spec = fuse_kernel(spec, self.steps)
         return build_compile_plan(
-            spec,
+            self.spec,
             precision=self.precision,
             variant=self.variant,
             device=self.device,

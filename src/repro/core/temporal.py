@@ -20,16 +20,15 @@ cells.  On the ring this is *bit-identical* to plain stepping (the strip
 performs the same floating-point sums on the same values); the interior
 is mathematically exact but can differ from step-by-step execution in the
 last ulp, because the fused kernel rounds once where plain stepping
-rounds ``t`` times.  The serving runtime therefore offers two temporal
-modes (see :mod:`repro.serve.workers`): ``"exact"`` chains ordered sweeps
-(byte-identical to ``t`` round-trips, the default) and ``"fused"`` runs
-this fused-GEMM-plus-strips scheme.
+rounds ``t`` times.  The serving runtime does not use this scheme: its
+multi-sweep requests chain exact sweeps (see :mod:`repro.serve.workers`),
+byte-identical to ``t`` round-trips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import signal
@@ -42,7 +41,6 @@ from .pipeline import Spider, SpiderVariant
 __all__ = [
     "fuse_kernel",
     "repair_boundary_ring",
-    "ring_axis_slices",
     "TemporalSpider",
 ]
 
@@ -78,28 +76,26 @@ def fuse_kernel(spec: StencilSpec, steps: int) -> StencilSpec:
 
 
 def repair_boundary_ring(
-    datas: Sequence[np.ndarray],
-    fuseds: Sequence[np.ndarray],
+    data: np.ndarray,
+    fused: np.ndarray,
     ring: int,
     steps: int,
-    plain_steps: Callable[[List[np.ndarray], int], List[np.ndarray]],
+    plain_steps: Callable[[np.ndarray, int], np.ndarray],
     lane_stride: int = 1,
-) -> Sequence[np.ndarray]:
-    """Overwrite each fused result's outer ``ring`` with exact plain-stepped
-    values.
+) -> np.ndarray:
+    """Overwrite the fused result's outer ``ring`` with exact plain-stepped
+    values; returns ``fused``.
 
-    ``fuseds[b]`` is one fused super-sweep of ``datas[b]`` (all the same
-    shape, any dimensionality); for each axis the leading/trailing strip
-    of width ``>= 2·ring`` from the *original* data is advanced ``steps``
-    plain Dirichlet-0 sweeps via ``plain_steps`` — a batch function, so a
-    serving batch repairs each strip in one fused pass — and its outer
-    ``ring`` slab is copied back.  Each strip keeps every *true* domain
-    edge on the other axes, so its outer slab — corners and edges
-    included — is bit-identical to plain stepping on the whole domain:
-    only the strip's artificial inner face contaminates, and that
-    corruption stays ``>= ring`` cells away.  Overlapping corner writes
-    are therefore writes of identical bytes, making the assignment order
-    irrelevant.  Requires ``min(shape) > 2 * ring``.
+    ``fused`` is one fused super-sweep of ``data`` (any dimensionality);
+    for each axis the leading/trailing strip of width ``>= 2·ring`` from
+    the *original* data is advanced ``steps`` plain Dirichlet-0 sweeps via
+    ``plain_steps`` and its outer ``ring`` slab is copied back.  Each strip
+    keeps every *true* domain edge on the other axes, so its outer slab —
+    corners and edges included — is bit-identical to plain stepping on
+    the whole domain: only the strip's artificial inner face contaminates,
+    and that corruption stays ``>= ring`` cells away.  Overlapping corner
+    writes are therefore writes of identical bytes, making the assignment
+    order irrelevant.  Requires ``min(shape) > 2 * ring``.
 
     ``lane_stride`` must be the executing pipeline's lane width ``L`` when
     bit-identity of the ring matters: the SpTC datapath reduces each
@@ -110,40 +106,24 @@ def repair_boundary_ring(
     aligned; other axes index *lines*, whose per-element order is
     position-independent.
     """
-    for lo, hi, ring_lo, ring_hi in ring_axis_slices(
-        datas[0].shape, ring, lane_stride
-    ):
-        lo_outs = plain_steps([d[lo] for d in datas], steps)
-        hi_outs = plain_steps([d[hi] for d in datas], steps)
-        for fused, lo_out, hi_out in zip(fuseds, lo_outs, hi_outs):
-            fused[ring_lo] = lo_out[ring_lo]
-            fused[ring_hi] = hi_out[ring_hi]
-    return fuseds
 
+    def along(axis: int, sl: slice) -> tuple:
+        idx = [slice(None)] * data.ndim
+        idx[axis] = sl
+        return tuple(idx)
 
-def ring_axis_slices(shape, ring: int, lane_stride: int = 1):
-    """Per-axis ``(lo_strip, hi_strip, lo_ring, hi_ring)`` slice tuples of
-    the boundary-repair scheme (see :func:`repair_boundary_ring`, which
-    documents the strip widths and the lane alignment of the trailing
-    last-axis strip).  Shared with the serving runtime's fused temporal
-    mode, which batches each strip across a whole coalesced batch.
-    """
     strip = 2 * ring
-    full = [slice(None)] * len(shape)
-    last = len(shape) - 1
-    for axis in range(len(shape)):
-        lo = list(full)
-        lo[axis] = slice(0, strip)
-        start = shape[axis] - strip
-        if axis == last and lane_stride > 1:
+    for axis, n in enumerate(data.shape):
+        start = n - strip
+        if axis == data.ndim - 1 and lane_stride > 1:
             start = (start // lane_stride) * lane_stride
-        hi = list(full)
-        hi[axis] = slice(start, None)
-        ring_lo = list(full)
-        ring_lo[axis] = slice(0, ring)
-        ring_hi = list(full)
-        ring_hi[axis] = slice(-ring, None)
-        yield tuple(lo), tuple(hi), tuple(ring_lo), tuple(ring_hi)
+        lo = plain_steps(data[along(axis, slice(0, strip))], steps)
+        hi = plain_steps(data[along(axis, slice(start, None))], steps)
+        ring_lo = along(axis, slice(0, ring))
+        ring_hi = along(axis, slice(-ring, None))
+        fused[ring_lo] = lo[ring_lo]
+        fused[ring_hi] = hi[ring_hi]
+    return fused
 
 
 @dataclass
@@ -187,15 +167,6 @@ class TemporalSpider:
             out = self._plain.run(Grid(out, BoundaryCondition.ZERO))
         return out
 
-    def _plain_steps_batch(
-        self, datas: List[np.ndarray], t: int
-    ) -> List[np.ndarray]:
-        """Batched plain stepping for the ring repair (byte-identical to
-        per-array :meth:`_plain_steps` — the chained-sweep contract)."""
-        return self._plain.executor.run_batch_steps(
-            [Grid(d, BoundaryCondition.ZERO) for d in datas], t
-        )
-
     def _super_step(self, data: np.ndarray) -> np.ndarray:
         """One fused super-sweep == ``steps`` plain Dirichlet-0 sweeps."""
         ring = self.fused_radius  # t*r cells are boundary-contaminated
@@ -204,13 +175,13 @@ class TemporalSpider:
             return self._plain_steps(data, self.steps)
         fused = self._fused.run(Grid(data, BoundaryCondition.ZERO))
         return repair_boundary_ring(
-            [data],
-            [fused],
+            data,
+            fused,
             ring,
             self.steps,
-            self._plain_steps_batch,
+            self._plain_steps,
             lane_stride=self._plain.executor.L,
-        )[0]
+        )
 
     # ------------------------------------------------------------------
     def run(self, grid: Grid, total_steps: int) -> Grid:

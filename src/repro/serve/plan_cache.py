@@ -22,7 +22,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from ..core.pipeline import CompilePlan, SpiderVariant, build_compile_plan
 from ..gpu.device import A100_80GB_PCIE, DeviceSpec
@@ -66,9 +66,9 @@ class PlanKey:
     super-sweep) request carries the same spec fingerprint as its plain
     counterpart but a ``steps > 1`` tag, so the coalescer groups requests
     by ``(plan, steps)`` — only requests advancing the same number of
-    sweeps fuse into one batch — while distinct ``steps`` values cache
-    their temporal artifacts independently (the fused kernel of ``t``
-    sweeps has its own spec, hence its own fingerprint and cache entry).
+    sweeps fuse into one batch.  The cache itself never stores a
+    ``steps > 1`` key: a super-sweep chains sweeps through the plain plan
+    of :meth:`base`, so every ``steps`` value shares one compiled plan.
     """
 
     fingerprint: str
@@ -84,7 +84,7 @@ class PlanKey:
         salting), so a request stream shards identically on every run.
         ``steps`` is deliberately excluded: a super-sweep request must land
         on the same shard as its plain siblings so both share one warm
-        plain plan (and, in fused mode, the fused plan lives next to it).
+        plain plan.
         """
         text = f"{self.fingerprint}|{self.variant}|{self.precision}|{self.tile_key}"
         return int.from_bytes(
@@ -206,47 +206,30 @@ class PlanCache:
         evicted on overflow (both hits and inserts refresh recency).
     device:
         Default machine model handed to the plan builder.
-    max_workspace_bytes:
-        Optional cap on the *bytes* resident plans pin (fused operands plus
-        plan-owned workspace arenas — the same accounting
-        ``CacheStats.workspace_bytes`` reports).  Entry-count eviction alone
-        lets a few fused high-radius plans (whose workspaces are large) pin
-        unbounded memory; with a byte cap the cache first trims cold
-        geometries from old plans' arenas and then evicts whole LRU plans
-        until it fits.  Enforced on every :meth:`get_or_build` (workspaces
-        grow lazily *after* insertion, so insert-time checks are not
-        enough).  The two most-recently-used plans are never trimmed or
-        evicted — a temporal super-sweep keeps a plain/fused plan pair in
-        flight — so an oversized working set can exceed the cap rather
-        than thrash forever.
     mac_threads, mac_col_block:
         Ordered-MAC parallelism plan parameters handed to every plan this
         cache compiles (requested values — ``None`` means resolve
         adaptively at build time).  Plans own persistent MAC thread pools,
-        so every path that drops a plan (LRU overflow, byte-cap eviction,
-        :meth:`clear`) shuts the evicted plan's pool down first; a cached
-        plan must never leak parked threads.
+        so every path that drops a plan (LRU overflow, :meth:`clear`)
+        shuts the evicted plan's pool down first; a cached plan must never
+        leak parked threads.
+
+    Each resident plan's executor bounds its own workspace arena to
+    :attr:`~repro.core.executor.SpiderExecutor.MAX_WORKSPACES` grid
+    shapes, so entry-count eviction bounds the cache's resident bytes.
     """
 
     def __init__(
         self,
         capacity: int = 64,
         device: DeviceSpec = A100_80GB_PCIE,
-        max_workspace_bytes: Optional[int] = None,
         mac_threads: Optional[int] = None,
         mac_col_block: Optional[int] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if max_workspace_bytes is not None and max_workspace_bytes < 1:
-            raise ValueError(
-                f"max_workspace_bytes must be >= 1, got {max_workspace_bytes}"
-            )
         self.capacity = int(capacity)
         self.device = device
-        self.max_workspace_bytes = (
-            None if max_workspace_bytes is None else int(max_workspace_bytes)
-        )
         self.mac_threads = (
             None if mac_threads is None else int(mac_threads)
         )
@@ -309,66 +292,6 @@ class PlanCache:
                 _, evicted = self._entries.popitem(last=False)
                 evicted.executor.release_mac_pool()
                 self._evictions += 1
-            self._enforce_bytes_locked()
-
-    # -- byte-based eviction (callers hold self._lock) -------------------
-    def _enforce_bytes_locked(self) -> None:
-        """Bring resident workspace bytes under ``max_workspace_bytes``.
-
-        Two stages, both sparing the **two** most-recently-used plans:
-        first *trim* cold plans' workspace arenas — the compiled artifacts
-        stay resident, so a re-warmed plan only pays a lazy arena refill,
-        not a recompile — then evict whole LRU plans.  Two are spared, not
-        one, because a temporal super-sweep keeps a pair of plans in
-        flight (the plain plan and the fused super-kernel plan); sparing
-        only the MRU would tear down the plain plan's just-warmed arena
-        on every fused-plan hit.  One O(entries) sizing walk per call;
-        trim/evict steps adjust the running total instead of re-summing.
-        """
-        limit = self.max_workspace_bytes
-        if limit is None:
-            return
-        entries = list(self._entries.items())  # LRU -> MRU
-        sizes = [p.executor.workspace_nbytes() for _, p in entries]
-        total = sum(sizes)
-        if total <= limit:
-            return
-        for i, (_, plan) in enumerate(entries[:-2]):
-            freed = plan.executor.trim_workspaces(0)
-            sizes[i] -= freed
-            total -= freed
-            if total <= limit:
-                return
-        for i, (key, plan) in enumerate(entries[:-2]):
-            del self._entries[key]
-            plan.executor.release_mac_pool()
-            self._evictions += 1
-            total -= sizes[i]
-            if total <= limit:
-                return
-
-    def trim(self, keep_geometries: int = 1) -> int:
-        """Drop cold geometries from every resident plan's workspace arena.
-
-        Each plan keeps its ``keep_geometries`` most-recently-served grid
-        shapes (0 empties the arenas entirely); trimmed geometries rebuild
-        lazily if they recur.  Returns the number of bytes freed.  This is
-        the maintenance valve for fused high-radius plans, whose per-
-        geometry workspaces are large even when only one shape is hot.
-        MAC thread pools are released alongside the arenas (they re-create
-        lazily on the next parallel execute), so a trimmed cache parks no
-        helper threads.
-        """
-        if keep_geometries < 0:
-            raise ValueError(
-                f"keep_geometries must be >= 0, got {keep_geometries}"
-            )
-        with self._lock:
-            freed = 0
-            for p in self._entries.values():
-                freed += p.executor.trim_workspaces(keep_geometries)
-                p.executor.release_mac_pool()
-            return freed
 
     def release_pools(self) -> None:
         """Shut down every resident plan's MAC thread pool.
@@ -382,30 +305,17 @@ class PlanCache:
             for p in self._entries.values():
                 p.executor.release_mac_pool()
 
-    def get_or_build(
-        self,
-        key: PlanKey,
-        builder: Optional[Callable[[], CompilePlan]] = None,
-        *,
-        spec: Optional[StencilSpec] = None,
-    ) -> CompilePlan:
+    def get_or_build(self, key: PlanKey, *, spec: StencilSpec) -> CompilePlan:
         """Return the plan for ``key``, compiling it on first use.
 
-        Either a ``builder`` callable or the ``spec`` the key was derived
-        from must be provided; with ``spec`` the default
-        :func:`build_compile_plan` factory is used with the key's variant /
-        precision / tile shape.
+        ``spec`` is the spec the key was derived from; a miss compiles it
+        through the default :func:`build_compile_plan` factory with the
+        key's variant / precision / tile shape.
         """
         with self._lock:  # RLock: lookup/insert compose under one hold
             plan = self.lookup(key)
             if plan is not None:
-                # arenas grow lazily after insertion; re-check the byte cap
-                # on every hit (the hit just made this plan MRU, so it is
-                # spared by the enforcement pass)
-                self._enforce_bytes_locked()
                 return plan
-            if builder is None and spec is None:
-                raise ValueError("get_or_build needs a builder or a spec")
             # local import: tracing pulls in the executor hook machinery,
             # which this module must not load unless a compile happens
             from .tracing import stage_span
@@ -414,18 +324,15 @@ class PlanCache:
             with stage_span(
                 "plan_compile", args={"variant": key.variant}
             ):
-                if builder is None:
-                    built = build_compile_plan(
-                        spec,
-                        precision=key.precision,
-                        variant=SpiderVariant(key.variant),
-                        device=self.device,
-                        grid_shape=key.tile_key or None,
-                        mac_threads=self.mac_threads,
-                        mac_col_block=self.mac_col_block,
-                    )
-                else:
-                    built = builder()
+                built = build_compile_plan(
+                    spec,
+                    precision=key.precision,
+                    variant=SpiderVariant(key.variant),
+                    device=self.device,
+                    grid_shape=key.tile_key or None,
+                    mac_threads=self.mac_threads,
+                    mac_col_block=self.mac_col_block,
+                )
             if self._compiles_counter is not None:
                 self._compiles_counter.inc()
                 self._compile_seconds_counter.inc(time.monotonic() - t0)

@@ -46,7 +46,6 @@ from .plan_cache import CacheStats, PlanCache, plan_key_for
 from .telemetry import ServiceStats, ServiceTelemetry, format_service_report
 from .tracing import SpanRecorder, stage_totals, write_chrome_trace
 from .workers import (
-    TEMPORAL_MODES,
     WORKER_TRANSPORTS,
     RetryPolicy,
     WorkerPool,
@@ -97,14 +96,6 @@ class StencilService:
         pickles arrays over the mp queues (portable fallback).  Results
         are byte-identical either way.  Ignored by thread/sync backends,
         which share an address space.
-    temporal_mode:
-        How multi-sweep requests (``submit(..., steps=t)``) execute their
-        temporal super-sweep: ``"exact"`` (default) chains ``t`` ordered
-        sweeps inside the worker — byte-identical to ``t`` sequential
-        round-trips — while ``"fused"`` runs the ``t``-fold self-convolved
-        kernel as one fused GEMM plus exact boundary-ring repair (interior
-        deviates by at most the last ulp).  See
-        :mod:`repro.serve.workers`.
     trace:
         Enable span tracing (off by default — the recorder exists either
         way but records nothing while disabled, so the cost of leaving
@@ -155,7 +146,6 @@ class StencilService:
         device: DeviceSpec = A100_80GB_PCIE,
         backend: str = "thread",
         transport: str = "shm",
-        temporal_mode: str = "exact",
         trace: bool = False,
         mac_threads: Optional[int] = None,
         mac_col_block: Optional[int] = None,
@@ -174,11 +164,6 @@ class StencilService:
                 f"unsupported transport {transport!r}; "
                 f"choose one of {WORKER_TRANSPORTS}"
             )
-        if temporal_mode not in TEMPORAL_MODES:
-            raise ValueError(
-                f"unsupported temporal_mode {temporal_mode!r}; "
-                f"choose one of {TEMPORAL_MODES}"
-            )
         self.precision = MmaPrecision.validate(precision)
         self.variant = variant
         self.device = device
@@ -186,7 +171,6 @@ class StencilService:
         self.transport = (
             transport if (workers > 0 and backend == "process") else "local"
         )
-        self.temporal_mode = temporal_mode
         self._policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._default_deadline_s = default_deadline_s
         fault_plan = FaultPlan.coerce(faults)
@@ -224,7 +208,6 @@ class StencilService:
                 telemetry=self._telemetry,
                 backend=backend,
                 transport=transport,
-                temporal_mode=temporal_mode,
                 tracer=self.tracer,
                 metrics=self.metrics,
                 mac_threads=mac_threads,
@@ -269,11 +252,11 @@ class StencilService:
         """Enqueue ``steps`` sweeps; returns a future-like :class:`ServeRequest`.
 
         ``steps > 1`` requests execute as one temporal super-sweep inside
-        the worker (no per-sweep queue round-trips); the result is
-        byte-identical to submitting the grid ``steps`` times sequentially
-        under the default ``temporal_mode="exact"``.  Requests coalesce by
-        ``(plan, steps)``: only same-plan requests advancing the same
-        number of sweeps share a batch.
+        the worker: ``steps`` chained sweeps through the plain plan, with
+        no per-sweep queue round-trips.  The result is byte-identical to
+        submitting the grid ``steps`` times sequentially.  Requests
+        coalesce by ``(plan, steps)``: only same-plan requests advancing
+        the same number of sweeps share a batch.
 
         ``timeout`` attaches a deadline (seconds from now; defaults to the
         service's ``default_deadline_s``): a request still unserved when it
@@ -381,7 +364,6 @@ class StencilService:
         run_batch(
             [req],
             self._sync_cache,
-            temporal_mode=self.temporal_mode,
             telemetry=self._telemetry,
             tracer=self.tracer,
             track="sync",

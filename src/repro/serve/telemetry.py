@@ -99,8 +99,8 @@ class TelemetrySnapshot:
     ``sweeps`` counts stencil sweeps *advanced* rather than requests
     served: a temporal super-sweep request (``submit(..., steps=t)``)
     contributes ``t``, so sweeps/s is the throughput measure that stays
-    comparable between the per-sweep round-trip path and fused
-    multi-sweep serving.
+    comparable between the per-sweep round-trip path and in-worker
+    chained multi-sweep serving.
     """
 
     requests: int

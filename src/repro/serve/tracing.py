@@ -70,7 +70,6 @@ EXECUTION_STAGES = (
     "plan_compile",
     "mac",
     "temporal_chain",
-    "ring_repair",
 )
 
 

@@ -63,23 +63,12 @@ Temporal super-sweeps
 A request whose sweep-aware plan key carries ``steps > 1`` executes as one
 *super-sweep* inside the worker instead of ``t`` round-trips through the
 batch queue (and, on the process backend, ``t`` IPC grid copies — the
-dominant per-request cost of that path).  Two modes, selected by the
-pool's ``temporal_mode``:
-
-* ``"exact"`` (default) — the batch is advanced ``t`` chained, strictly
-  ordered sweeps through the cached plain plan, intermediates never
-  leaving the worker.  Byte-identical to ``t`` sequential round-trips by
-  construction (same floating-point operations in the same order), for
-  every boundary condition.
-* ``"fused"`` — the worker resolves a *fused* compile plan for the
-  ``t``-fold self-convolved kernel (:func:`~repro.core.temporal.fuse_kernel`)
-  under that kernel's own fingerprint, runs the fused GEMM **once** over
-  the whole batch, and repairs the boundary ring with the plain plan via
-  :func:`~repro.core.temporal.repair_boundary_ring`.  The ring is
-  byte-identical to plain stepping; the interior is mathematically exact
-  but rounds once where plain stepping rounds ``t`` times (last-ulp
-  deviations).  Requires Dirichlet-0 grids large enough for an
-  uncontaminated interior — anything else falls back to exact chaining.
+dominant per-request cost of that path): the batch is advanced ``t``
+chained, strictly ordered sweeps through the cached plain plan,
+intermediates never leaving the worker.  Byte-identical to ``t``
+sequential round-trips by construction (same floating-point operations in
+the same order), for every boundary condition.  Kernel fusion with
+boundary-ring repair is :class:`~repro.core.temporal.TemporalSpider`.
 """
 
 from __future__ import annotations
@@ -94,14 +83,12 @@ import signal
 import threading
 import time
 import warnings
-from collections import OrderedDict, deque
+from collections import deque
 from contextlib import nullcontext
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.pipeline import PlanRecipe, SpiderVariant
-from ..core.temporal import fuse_kernel, repair_boundary_ring
 from ..gpu.device import A100_80GB_PCIE, DeviceSpec
 from ..sptc.macpool import resolve_mac_threads
 from ..sptc.mma import MmaPrecision
@@ -110,7 +97,7 @@ from ..stencil.spec import StencilSpec
 from .batching import BatchQueue, DeadlineExceeded, ServeRequest
 from .faults import FaultInjector, FaultPlan, InjectedFault
 from .metrics import MetricsRegistry
-from .plan_cache import CacheStats, PlanCache, PlanKey, plan_key_for
+from .plan_cache import CacheStats, PlanCache, PlanKey
 from .shm import BlockRef, SlabAllocator, SlabAttachments, SlabError
 from .telemetry import ServiceTelemetry
 from .tracing import SpanRecorder, batch_context, stage_span
@@ -121,7 +108,6 @@ __all__ = [
     "WorkerPool",
     "WORKER_BACKENDS",
     "WORKER_TRANSPORTS",
-    "TEMPORAL_MODES",
     "execute_serve_batch",
     "is_transient_failure",
     "run_batch",
@@ -243,9 +229,6 @@ class RetryPolicy:
 #: Supported process-backend grid/result transports (module docstring).
 WORKER_TRANSPORTS: Tuple[str, ...] = ("shm", "queue")
 
-#: Supported temporal super-sweep execution modes (see module docstring).
-TEMPORAL_MODES: Tuple[str, ...] = ("exact", "fused")
-
 #: BLAS/OpenMP thread-count variables pinned to 1 in worker processes.
 #: The ordered MAC deliberately never calls BLAS (einsum's C core is
 #: single-threaded and strictly ordered), but any *other* numpy op a
@@ -285,138 +268,30 @@ def _result_dtype(precision: str) -> np.dtype:
     )
 
 
-#: memo of fused-kernel derivation per sweep-aware request key.  Both the
-#: fused spec and its plan key are pure functions of the request key's
-#: content (the fingerprint is a content hash of the kernel), so the memo
-#: is safe process-wide; it spares the hot path ``steps - 1`` kernel
-#: self-convolutions plus a SHA over the (2·t·r+1)^d fused weights per
-#: batch.  Bounded like a cache with true LRU eviction: a wholesale clear
-#: at capacity would trigger a recompute storm of kernel
-#: self-convolutions exactly when the working set of distinct stencil
-#: configurations is largest — evicting only the coldest key keeps every
-#: hot key's derivation resident.
-_FUSED_KEY_MEMO: "OrderedDict[PlanKey, Tuple[StencilSpec, PlanKey]]" = (
-    OrderedDict()
-)
-_FUSED_KEY_MEMO_CAPACITY = 512
-_FUSED_KEY_MEMO_LOCK = threading.Lock()
-
-
-def _fused_spec_and_key(
-    key: PlanKey, spec: StencilSpec
-) -> Tuple[StencilSpec, PlanKey]:
-    with _FUSED_KEY_MEMO_LOCK:
-        memo = _FUSED_KEY_MEMO.get(key)
-        if memo is not None:
-            _FUSED_KEY_MEMO.move_to_end(key)
-            return memo
-    # derive outside the lock (a convolution + SHA, potentially slow);
-    # concurrent shards may race to derive the same key — the results are
-    # deterministic, so last-write-wins is harmless
-    fused_spec = fuse_kernel(spec, key.steps)
-    memo = (
-        fused_spec,
-        plan_key_for(
-            fused_spec,
-            SpiderVariant(key.variant),
-            key.precision,
-            key.tile_key,
-        ),
-    )
-    with _FUSED_KEY_MEMO_LOCK:
-        _FUSED_KEY_MEMO[key] = memo
-        _FUSED_KEY_MEMO.move_to_end(key)
-        while len(_FUSED_KEY_MEMO) > _FUSED_KEY_MEMO_CAPACITY:
-            _FUSED_KEY_MEMO.popitem(last=False)
-    return memo
-
-
-def _run_super_sweep(
-    cache: PlanCache,
-    key: PlanKey,
-    spec: StencilSpec,
-    grids: List[Grid],
-    temporal_mode: str,
-    out: Optional[List[np.ndarray]] = None,
-) -> List[np.ndarray]:
-    """Execute one ``steps > 1`` batch as a temporal super-sweep."""
-    plain = cache.get_or_build(key.base(), spec=spec)
-    steps = key.steps
-    ring = steps * spec.radius
-    if (
-        temporal_mode != "fused"
-        or any(g.bc is not BoundaryCondition.ZERO for g in grids)
-        or min(grids[0].shape) <= 2 * ring
-    ):
-        # exact mode — and the fused path's fallback for non-Dirichlet
-        # grids or domains too small for an uncontaminated interior
-        with stage_span("temporal_chain", args={"steps": steps}):
-            return plain.executor.run_batch_steps(grids, steps, out=out)
-    fused_spec, fused_key = _fused_spec_and_key(key, spec)
-    # the fused plan compiles through a steps-carrying PlanRecipe: the
-    # recipe's wire form ships the small base spec, and every consumer
-    # derives byte-identical fused weights (deterministic convolution).
-    # MAC knobs are the cache's per-shard budget, as for the plain plan —
-    # a super-sweep must not oversubscribe
-    recipe = PlanRecipe(
-        spec=spec,
-        precision=key.precision,
-        variant=SpiderVariant(key.variant),
-        device=cache.device,
-        grid_shape=key.tile_key or None,
-        steps=steps,
-        mac_threads=cache.mac_threads,
-        mac_col_block=cache.mac_col_block,
-    )
-    fused_plan = cache.get_or_build(fused_key, builder=recipe.build)
-    # one fused GEMM across the whole batch, then ring repair with the
-    # plain plan (bit-exact on the ring — see core.temporal), each strip
-    # batched across the whole coalesced batch (all grids share a shape);
-    # caller-supplied destinations (shm result blocks) receive the fused
-    # interior directly and the ring repair patches them in place
-    with stage_span("mac", args={"batch": len(grids), "fused_steps": steps}):
-        outs = fused_plan.executor.run_batch_split(grids, out=out)
-
-    def plain_steps(datas: List[np.ndarray], t: int) -> List[np.ndarray]:
-        return plain.executor.run_batch_steps(
-            [Grid(d, BoundaryCondition.ZERO) for d in datas], t
-        )
-
-    with stage_span("ring_repair", args={"ring": ring}):
-        repair_boundary_ring(
-            [g.data for g in grids],
-            outs,
-            ring,
-            steps,
-            plain_steps,
-            lane_stride=plain.executor.L,
-        )
-    return outs
-
-
 def execute_serve_batch(
     cache: PlanCache,
     key: PlanKey,
     spec: StencilSpec,
     grids: List[Grid],
-    temporal_mode: str = "exact",
     out: Optional[List[np.ndarray]] = None,
 ) -> List[np.ndarray]:
     """Serve one coalesced batch through a plan cache (all backends).
 
     This is the single execution path shared by thread-backend workers,
     process-backend worker mains and the synchronous fallback: resolve
-    the plan(s) for ``key``, run one fused pass — a temporal super-sweep
-    when ``key.steps > 1`` — and return one freshly-owned result array
-    per grid.  ``out`` redirects the per-grid results into caller-supplied
-    destination arrays (the shm transport's slab-backed views) instead of
-    fresh allocations; numerics are unaffected.
+    the plain plan for ``key``, run one fused sweep over the batch — or
+    ``key.steps`` chained sweeps when ``key.steps > 1`` — and return one
+    freshly-owned result array per grid.  ``out`` redirects the per-grid
+    results into caller-supplied destination arrays (the shm transport's
+    slab-backed views) instead of fresh allocations; numerics are
+    unaffected.
     """
+    plan = cache.get_or_build(key.base(), spec=spec)
     if key.steps == 1:
-        plan = cache.get_or_build(key, spec=spec)
         with stage_span("mac", args={"batch": len(grids)}):
             return plan.executor.run_batch_split(grids, out=out)
-    return _run_super_sweep(cache, key, spec, grids, temporal_mode, out)
+    with stage_span("temporal_chain", args={"steps": key.steps}):
+        return plan.executor.run_batch_steps(grids, key.steps, out=out)
 
 
 # ----------------------------------------------------------------------
@@ -577,7 +452,6 @@ def run_batch(
     batch: Sequence[ServeRequest],
     cache: PlanCache,
     *,
-    temporal_mode: str = "exact",
     telemetry: Optional[ServiceTelemetry] = None,
     tracer: Optional[SpanRecorder] = None,
     track: str = "inline",
@@ -626,7 +500,6 @@ def run_batch(
                 req0.key,
                 req0.spec,
                 [r.grid for r in batch],
-                temporal_mode,
             )
     except Exception as exc:
         if place is not None and is_transient_failure(exc):
@@ -745,7 +618,6 @@ def _process_worker_main(
     result_q,
     cache_capacity: int,
     device_dict: dict,
-    temporal_mode: str = "exact",
     mac_threads: Optional[int] = None,
     mac_col_block: Optional[int] = None,
 ) -> None:
@@ -814,9 +686,7 @@ def _process_worker_main(
                         # executor materializes results straight into the
                         # result slab (no intermediate arrays,
                         # descriptor-only reply)
-                        execute_serve_batch(
-                            cache, key, spec, grids, temporal_mode, out=outs
-                        )
+                        execute_serve_batch(cache, key, spec, grids, out=outs)
                         results = ("shm",)
                     else:
                         # queue transport, or the slab-cap fallback (grids
@@ -824,9 +694,7 @@ def _process_worker_main(
                         # the pipe as pickled arrays
                         results = (
                             "raw",
-                            execute_serve_batch(
-                                cache, key, spec, grids, temporal_mode
-                            ),
+                            execute_serve_batch(cache, key, spec, grids),
                         )
             except Exception as exc:
                 result_q.put(
@@ -893,9 +761,6 @@ class WorkerPool:
         deliberately small so hot blocks recycle through cache instead of
         sprawling across cold pages; only a single batch that cannot fit
         in an empty slab degrades to the pickled queue payload.
-    temporal_mode:
-        ``"exact"`` (default) or ``"fused"`` — how ``steps > 1`` batches
-        execute their temporal super-sweep (see the module docstring).
     mac_threads:
         Per-shard ordered-MAC thread budget.  ``None`` (the default)
         resolves to ``REPRO_MAC_THREADS`` or ``cpu_count // num_workers``
@@ -951,7 +816,6 @@ class WorkerPool:
         transport: str = "shm",
         slab_initial_bytes: int = 1 << 20,
         slab_max_bytes: int = 8 << 20,
-        temporal_mode: str = "exact",
         tracer: Optional[SpanRecorder] = None,
         metrics: Optional[MetricsRegistry] = None,
         mac_threads: Optional[int] = None,
@@ -971,14 +835,8 @@ class WorkerPool:
                 f"unsupported transport {transport!r}; "
                 f"choose one of {WORKER_TRANSPORTS}"
             )
-        if temporal_mode not in TEMPORAL_MODES:
-            raise ValueError(
-                f"unsupported temporal_mode {temporal_mode!r}; "
-                f"choose one of {TEMPORAL_MODES}"
-            )
         self.backend = backend
         self.transport = transport if backend == "process" else "local"
-        self.temporal_mode = temporal_mode
         #: effective per-shard MAC threads — the explicit value every
         #: plan compiled by this pool's caches will run with
         self.mac_threads = resolve_mac_threads(mac_threads, num_workers)
@@ -1149,7 +1007,6 @@ class WorkerPool:
                     self._result_qs[i],
                     self._cache_capacity,
                     device.to_dict(),
-                    temporal_mode,
                     self.mac_threads,
                     self.mac_col_block,
                 ),
@@ -1261,7 +1118,6 @@ class WorkerPool:
         return run_batch(
             batch,
             cache,
-            temporal_mode=self.temporal_mode,
             telemetry=self.telemetry,
             tracer=self.tracer,
             track="inline" if inline else f"shard-{shard}",
@@ -2087,7 +1943,6 @@ class WorkerPool:
                 result_q,
                 self._cache_capacity,
                 self._device.to_dict(),
-                self.temporal_mode,
                 self.mac_threads,
                 self.mac_col_block,
             ),

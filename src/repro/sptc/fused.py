@@ -318,7 +318,7 @@ class FusedStencilOperator:
     def shutdown_pool(self) -> None:
         """Stop the MAC pool's helper threads (idempotent).
 
-        Called by the serving plan cache on eviction/trim; the pool
+        Called by the serving plan cache on eviction and close; the pool
         re-creates lazily if the operator executes again.  A pool object
         inherited from another process is dropped, never joined.
         """

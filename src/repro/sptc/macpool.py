@@ -21,9 +21,11 @@ exactly ``threads`` and an idle pool costs nothing but parked threads.
 
 Lifecycle contract (the serving layer depends on all three):
 
-* **single caller** — one plan is served by exactly one worker at a time
-  (the same invariant the executor's workspace arena relies on), so
-  ``run`` is never re-entered concurrently;
+* **single caller** — ``run`` is never re-entered concurrently.  The
+  owning :class:`~repro.core.executor.SpiderExecutor` enforces this (and
+  the same invariant for its workspace arena) with a per-executor lock
+  held across each batch call, so threads that share one plan take
+  turns instead of interleaving;
 * **never pickled** — owners exclude the pool from ``__reduce__``; a
   rehydrated plan re-creates its pool lazily on first parallel execute;
 * **never inherited across fork** — the pool records its owning

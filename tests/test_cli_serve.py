@@ -1,11 +1,15 @@
 """CLI additions: --version and the serve-bench subcommand."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_version_flag_prints_package_version(capsys):
@@ -22,6 +26,23 @@ def test_version_flag_registered_on_parser():
         a.option_strings[0] for a in parser._actions if a.option_strings
     }
     assert "--version" in actions
+
+
+def test_readme_commands_parse(capsys):
+    """Every ``python -m repro`` command README.md shows parses, so a
+    removed flag cannot linger in the docs."""
+    commands = [
+        shlex.split(line.split("python -m repro", 1)[1].split("#", 1)[0])
+        for line in README.read_text(encoding="utf-8").splitlines()
+        if "python -m repro" in line and "..." not in line
+    ]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            assert exc.code == 0 and argv == ["--version"], argv
 
 
 def test_serve_bench_smoke(capsys):
@@ -77,28 +98,6 @@ def test_serve_bench_steps_smoke(capsys):
     assert payload["sweeps"] == 24 * 4
     assert payload["sweeps_per_s"] > payload["throughput_rps"]
     assert payload["errors"] == 0
-
-
-def test_serve_bench_fused_temporal_mode_smoke(capsys):
-    rc = main(
-        [
-            "serve-bench",
-            "--requests",
-            "16",
-            "--workers",
-            "2",
-            "--size",
-            "24x24",
-            "--shapes",
-            "heat2d",
-            "--steps",
-            "2",
-            "--temporal-mode",
-            "fused",
-        ]
-    )
-    assert rc == 0
-    assert "requests served        16" in capsys.readouterr().out
 
 
 def test_serve_bench_open_loop_smoke(capsys):

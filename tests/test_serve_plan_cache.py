@@ -137,113 +137,20 @@ def test_capacity_validation_and_clear():
 
 def test_mac_knobs_reach_plain_and_fused_plans(rng):
     """Every plan a cache compiles carries the cache's ``mac_threads`` /
-    ``mac_col_block``, including the fused super-sweep plan a
-    ``steps > 1`` batch builds in fused temporal mode."""
+    ``mac_col_block``; a ``steps > 1`` batch builds exactly one plan, the
+    plain plan of ``key.base()``, and chains its sweeps through it."""
     spec = named_stencil("heat2d")
     cache = PlanCache(capacity=4, mac_threads=2, mac_col_block=96)
     key = plan_key_for(spec, grid_shape=(24, 24), steps=2)
     grids = [Grid(rng.standard_normal((24, 24))) for _ in range(2)]
     try:
-        execute_serve_batch(cache, key, spec, grids, temporal_mode="fused")
-        plans = {k: cache.lookup(k) for k in cache.keys()}
-        assert len(plans) == 2 and key.base() in plans
-        plain = plans.pop(key.base())
-        (fused,) = plans.values()
-        assert fused.spec.radius == 2 * spec.radius
-        for plan in (plain, fused):
-            assert plan.executor.mac_threads == 2
-            assert plan.executor.mac_col_block == 96
+        execute_serve_batch(cache, key, spec, grids)
+        assert cache.keys() == (key.base(),)
+        plan = cache.lookup(key.base())
+        assert plan.executor.mac_threads == 2
+        assert plan.executor.mac_col_block == 96
     finally:
         cache.release_pools()
-
-
-def test_get_or_build_requires_builder_or_spec():
-    cache = PlanCache()
-    key = plan_key_for(named_stencil("heat2d"), grid_shape=(8, 8))
-    with pytest.raises(ValueError):
-        cache.get_or_build(key)
-
-
-def test_workspace_trim_frees_cold_geometries(rng):
-    """trim() drops cold grid-shape workspaces from resident plans without
-    touching the compiled artifacts; trimmed geometries rebuild lazily."""
-    cache = PlanCache(capacity=4)
-    spec = named_stencil("blur2d")
-    key = plan_key_for(spec, grid_shape=())
-    plan = cache.get_or_build(key, spec=spec)
-    grids = [Grid.random(s, rng) for s in ((16, 16), (24, 20), (32, 12))]
-    outs = [plan.executor.run(g) for g in grids]
-    assert len(plan.executor._workspaces) == 3
-    before = cache.stats().workspace_bytes
-    freed = cache.trim(keep_geometries=1)
-    assert freed > 0
-    assert len(plan.executor._workspaces) == 1  # MRU geometry survives
-    assert cache.stats().workspace_bytes == before - freed
-    # trimmed geometries recompute bit-identically on their next request
-    for g, out in zip(grids, outs):
-        assert plan.executor.run(g).tobytes() == out.tobytes()
-    with pytest.raises(ValueError):
-        cache.trim(keep_geometries=-1)
-
-
-def test_byte_based_eviction_trims_then_evicts(rng):
-    """With max_workspace_bytes set, the cache evicts on resident *bytes*
-    (fused operand + arena), not entry count: cold plans are trimmed
-    first, then whole LRU plans go — the two MRU plans are spared (a
-    temporal super-sweep keeps a plain/fused pair in flight)."""
-    spec = named_stencil("heat2d")
-    probe = PlanCache(capacity=8)
-    kp = plan_key_for(spec, grid_shape=(48, 48))
-    pp = probe.get_or_build(kp, spec=spec)
-    pp.executor.run(Grid.random((48, 48), rng))
-    one_plan_bytes = probe.stats().workspace_bytes
-    assert one_plan_bytes > 0
-
-    # budget fits two warm plans but not three
-    cache = PlanCache(
-        capacity=8, max_workspace_bytes=int(one_plan_bytes * 2.5)
-    )
-    keys = [plan_key_for(spec, grid_shape=(48, 48 + i)) for i in range(4)]
-    warm = []
-    for i, key in enumerate(keys):
-        plan = cache.get_or_build(key, spec=spec)
-        plan.executor.run(Grid.random((48, 48 + i), rng))
-        warm.append(plan)
-        # the *next* lookup notices the lazily-grown arena and enforces
-        cache.get_or_build(key, spec=spec)
-        st = cache.stats()
-        assert st.workspace_bytes <= max(
-            cache.max_workspace_bytes,
-            sum(p.executor.workspace_nbytes() for p in warm[-2:]),
-        )
-        assert keys[i] in cache  # the MRU pair is never evicted
-        if i >= 1:
-            assert keys[i - 1] in cache
-    # the budget forced action on the cold tail: trims or evictions
-    st = cache.stats()
-    assert st.evictions > 0 or warm[0].executor.workspace_nbytes() < (
-        one_plan_bytes
-    )
-    with pytest.raises(ValueError):
-        PlanCache(max_workspace_bytes=0)
-
-
-def test_byte_cap_never_evicts_mru_pair(rng):
-    """Plans larger than the cap stay resident while MRU (no thrash loop)."""
-    spec = named_stencil("heat2d")
-    cache = PlanCache(capacity=4, max_workspace_bytes=1)
-    key = plan_key_for(spec, grid_shape=(32, 32))
-    plan = cache.get_or_build(key, spec=spec)
-    plan.executor.run(Grid.random((32, 32), rng))
-    again = cache.get_or_build(key, spec=spec)
-    assert again is plan
-    assert len(cache) == 1
-    key2 = plan_key_for(spec, grid_shape=(24, 24))
-    plan2 = cache.get_or_build(key2, spec=spec)
-    plan2.executor.run(Grid.random((24, 24), rng))
-    cache.get_or_build(key2, spec=spec)
-    # both members of the MRU pair survive even over budget
-    assert key in cache and key2 in cache
 
 
 def test_cache_stats_aggregate():

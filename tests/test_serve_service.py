@@ -1,6 +1,9 @@
 """StencilService end-to-end: sync fallback, sharded workers, telemetry,
 error routing, and the 1,000-request mixed-spec acceptance run."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,43 @@ def test_sync_fallback_accepts_raw_arrays(rng):
     with StencilService(workers=0) as svc:
         out = svc.run(spec, arr)
     assert np.array_equal(out, Spider(spec).run(Grid(arr)))
+
+
+def test_sync_path_shared_by_threads_matches_single_caller(rng):
+    """Caller threads sharing the sync path's plan cache get the bytes a
+    single caller gets: a plan's executor serves one batch at a time, so
+    concurrent callers never overwrite each other's workspace."""
+    spec = named_stencil("heat2d")
+    grids = [Grid.random((64, 64), rng) for _ in range(4)]
+    with StencilService(workers=0, mac_threads=1) as svc:
+        expected = [svc.run(spec, g).tobytes() for g in grids]
+        wrong = [0] * len(grids)
+        errors = []
+
+        def caller(i):
+            try:
+                for _ in range(100):
+                    if svc.run(spec, grids[i]).tobytes() != expected[i]:
+                        wrong[i] += 1
+            except Exception as exc:  # surfaced by the assertions below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=caller, args=(i,), daemon=True)
+            for i in range(len(grids))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # interleave callers more often
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert wrong == [0] * len(grids)
 
 
 def test_error_propagates_without_killing_service(rng):

@@ -38,11 +38,6 @@ from repro.serve import (
     WorkerPool,
     plan_key_for,
 )
-from repro.serve.workers import (
-    _FUSED_KEY_MEMO,
-    _FUSED_KEY_MEMO_CAPACITY,
-    _fused_spec_and_key,
-)
 from repro.stencil import (
     BoundaryCondition,
     Grid,
@@ -154,26 +149,6 @@ def test_shm_identity_survives_worker_count_and_batch_shape():
         )
         for a, b in zip(base, outs):
             assert a.tobytes() == b.tobytes()
-
-
-def test_shm_temporal_fused_mode_matches_queue():
-    """steps > 1 in fused temporal mode writes through slab destinations
-    (fused GEMM + in-place ring repair) — still transport-invariant."""
-    spec = named_stencil("heat2d")
-    rng = np.random.default_rng(5)
-    requests = [
-        (spec, Grid(rng.standard_normal((24, 24))), 3) for _ in range(8)
-    ]
-    shm_outs, _ = _serve(
-        requests, backend="process", transport="shm",
-        temporal_mode="fused",
-    )
-    q_outs, _ = _serve(
-        requests, backend="process", transport="queue",
-        temporal_mode="fused",
-    )
-    for a, b in zip(shm_outs, q_outs):
-        assert a.tobytes() == b.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -542,49 +517,3 @@ def test_shm_clean_under_start_method(start_method):
     assert "leaked shared_memory" not in proc.stderr
     assert "resource_tracker" not in proc.stderr
     assert "Traceback" not in proc.stderr
-
-
-# ----------------------------------------------------------------------
-# satellite: fused-key memo evicts LRU, not wholesale
-# ----------------------------------------------------------------------
-
-
-def test_fused_key_memo_evicts_lru_not_wholesale(monkeypatch):
-    import repro.serve.workers as workers_mod
-
-    monkeypatch.setattr(workers_mod, "_FUSED_KEY_MEMO_CAPACITY", 4)
-    _FUSED_KEY_MEMO.clear()
-    rng = np.random.default_rng(0)
-    specs = []
-    from repro.stencil.spec import StencilSpec
-
-    base = named_stencil("heat1d")
-    for i in range(6):
-        w = base.weights.copy()
-        w[0] += (i + 1) * 1e-3  # distinct kernels -> distinct keys
-        specs.append(StencilSpec(base.shape, base.dims, base.radius, w))
-    keys = [
-        plan_key_for(s, grid_shape=(64,), steps=2) for s in specs
-    ]
-    for s, k in zip(specs, keys):
-        _fused_spec_and_key(k, s)
-    assert len(_FUSED_KEY_MEMO) == 4  # bounded, not cleared to zero
-    # the two oldest were evicted, the newest four survive
-    assert keys[0] not in _FUSED_KEY_MEMO
-    assert keys[1] not in _FUSED_KEY_MEMO
-    assert all(k in _FUSED_KEY_MEMO for k in keys[2:])
-    # a hit refreshes recency: touch keys[2], insert one more, and the
-    # eviction victim is keys[3] (the new LRU), not keys[2]
-    _fused_spec_and_key(keys[2], specs[2])
-    w = base.weights.copy()
-    w[0] += 7e-2
-    s7 = StencilSpec(base.shape, base.dims, base.radius, w)
-    k7 = plan_key_for(s7, grid_shape=(64,), steps=2)
-    _fused_spec_and_key(k7, s7)
-    assert keys[2] in _FUSED_KEY_MEMO
-    assert keys[3] not in _FUSED_KEY_MEMO
-    _FUSED_KEY_MEMO.clear()
-
-
-def test_fused_key_memo_default_capacity_unchanged():
-    assert _FUSED_KEY_MEMO_CAPACITY == 512

@@ -5,19 +5,16 @@ in-worker temporal super-sweep whose result is **byte-identical** to ``t``
 sequential ``submit()`` round-trips (re-wrapping each result with the
 grid's boundary condition), on every backend — thread workers, process
 workers, and the synchronous fallback — across dimensionalities,
-precisions and boundary conditions.  The opt-in ``temporal_mode="fused"``
-relaxes that to: byte-identical on the boundary ring, last-ulp-exact in
-the interior.  The suite also pins the sweep-aware plumbing: requests
-coalesce by ``(plan, steps)``, the sweep-aware :class:`PlanKey` and
-:class:`PlanRecipe` round-trip losslessly, and telemetry counts sweeps.
+precisions and boundary conditions.  The suite also pins the sweep-aware
+plumbing: requests coalesce by ``(plan, steps)``, the sweep-aware
+:class:`PlanKey` round-trips losslessly, every ``steps`` value shares one
+plain plan, and telemetry counts sweeps.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import PlanRecipe, SpiderVariant, build_compile_plan
 from repro.core.temporal import fuse_kernel
-from repro.gpu.device import A100_80GB_PCIE
 from repro.serve import (
     BatchQueue,
     PlanKey,
@@ -130,81 +127,6 @@ def test_super_sweep_identity_survives_worker_count():
 
 
 # ----------------------------------------------------------------------
-# fused temporal mode: exact ring, ulp-tight interior
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("workers", [0, 2])
-def test_fused_mode_ring_exact_interior_ulp(workers, rng):
-    cases = [
-        ("wave1d", (64,), 2),
-        ("heat2d", (26, 30), 3),
-        ("heat3d", (13, 14, 15), 2),
-    ]
-    with StencilService(
-        workers=workers, temporal_mode="fused", max_wait_s=0.001
-    ) as svc:
-        for name, shape, steps in cases:
-            spec = named_stencil(name)
-            grid = Grid(rng.standard_normal(shape))
-            fused = svc.run(spec, grid.copy(), steps=steps, timeout=120)
-            seq = _roundtrip(svc, spec, grid, steps)
-            ring = steps * spec.radius
-            interior = tuple(slice(ring, -ring) for _ in shape)
-            mask = np.zeros(shape, dtype=bool)
-            mask[interior] = True
-            diff = fused != seq
-            # the boundary ring is byte-identical ...
-            assert not (diff & ~mask).any(), name
-            # ... and the interior deviates by at most a few ulps
-            np.testing.assert_allclose(fused, seq, rtol=0, atol=1e-12)
-
-
-def test_fused_mode_falls_back_exact_for_non_dirichlet(rng):
-    """PERIODIC grids cannot run the fused super-kernel; the fused mode
-    must still return byte-identical results via exact chaining."""
-    spec = named_stencil("heat2d")
-    grid = Grid(rng.standard_normal((24, 28)), BoundaryCondition.PERIODIC)
-    with StencilService(
-        workers=1, temporal_mode="fused", max_wait_s=0.001
-    ) as svc:
-        fused = svc.run(spec, grid.copy(), steps=3, timeout=120)
-        seq = _roundtrip(svc, spec, grid, 3)
-    assert fused.tobytes() == seq.tobytes()
-
-
-def test_fused_mode_small_domain_falls_back_exact(rng):
-    """A domain without an uncontaminated interior steps plainly —
-    byte-identical, not an error."""
-    spec = named_stencil("heat2d")
-    grid = Grid(rng.standard_normal((8, 8)))  # min side <= 2 * ring
-    with StencilService(
-        workers=1, temporal_mode="fused", max_wait_s=0.001
-    ) as svc:
-        fused = svc.run(spec, grid.copy(), steps=4, timeout=120)
-        seq = _roundtrip(svc, spec, grid, 4)
-    assert fused.tobytes() == seq.tobytes()
-
-
-def test_fused_mode_caches_fused_plan_under_own_fingerprint(rng):
-    """The fused super-kernel compiles once (its own cache entry), and the
-    plain plan compiles once next to it — repeats are pure cache hits."""
-    spec = named_stencil("heat2d")
-    with StencilService(
-        workers=1, temporal_mode="fused", max_wait_s=0.001
-    ) as svc:
-        for _ in range(4):
-            svc.run(spec, Grid(rng.standard_normal((26, 30))), steps=2,
-                    timeout=120)
-        stats = svc.stats()
-    assert stats.telemetry.errors == 0
-    # exactly two compiles pool-wide: the fused plan + the plain plan
-    # (the boundary-strip shapes reuse the plain plan's workspace arena)
-    assert stats.cache.misses == 2
-    assert stats.cache.hits > 0
-
-
-# ----------------------------------------------------------------------
 # sweep-aware coalescing and plan keys
 # ----------------------------------------------------------------------
 
@@ -246,8 +168,6 @@ def test_submit_validates_steps(rng):
         with pytest.raises(ValueError):
             svc.submit(named_stencil("heat2d"), Grid.random((8, 8), rng),
                        steps=0)
-    with pytest.raises(ValueError):
-        StencilService(workers=1, temporal_mode="bogus")
 
 
 def test_telemetry_counts_sweeps(rng):
@@ -259,6 +179,8 @@ def test_telemetry_counts_sweeps(rng):
         stats = svc.stats()
     assert stats.telemetry.requests == 3
     assert stats.telemetry.sweeps == 8
+    # steps > 1 batches chain sweeps through the one plain plan
+    assert stats.cache.misses == 1
     assert "sweeps advanced" in format_service_report(stats)
 
 
@@ -292,30 +214,3 @@ def test_plan_key_dict_roundtrip_with_steps():
     # pre-sweep-aware dicts (no "steps") load as plain keys
     legacy = {k: v for k, v in key.to_dict().items() if k != "steps"}
     assert PlanKey.from_dict(legacy) == key.base()
-
-
-def test_plan_recipe_steps_builds_fused_plan(rng):
-    spec = named_stencil("heat2d")
-    recipe = PlanRecipe.from_dict(
-        PlanRecipe(
-            spec=spec,
-            precision="exact",
-            variant=SpiderVariant.SPTC_CO,
-            device=A100_80GB_PCIE,
-            steps=2,
-        ).to_dict()
-    )
-    assert recipe.steps == 2
-    plan = recipe.build()
-    direct = build_compile_plan(fuse_kernel(spec, 2))
-    assert plan.spec == direct.spec
-    g = Grid.random((26, 30), rng)
-    assert plan.executor.run(g).tobytes() == direct.executor.run(g).tobytes()
-    with pytest.raises(ValueError):
-        PlanRecipe(
-            spec=spec,
-            precision="exact",
-            variant=SpiderVariant.SPTC_CO,
-            device=A100_80GB_PCIE,
-            steps=0,
-        )
