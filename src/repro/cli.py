@@ -246,7 +246,6 @@ def _cmd_serve_bench(args) -> int:
             "worker_restarts": t.worker_restarts,
             "slab_degrades": t.slab_degrades,
             "inline_batches": t.inline_batches,
-            "solve_resumes": t.solve_resumes,
         }
         if solve_mode:
             doc.update(
@@ -403,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="'sweep' drives single stencil applications (default); "
         "'solve' opens iterative Poisson solver sessions via "
         "submit_solve — each request is a full multigrid V-cycle or "
-        "smoother-chain solve whose per-iteration operator applies ride "
-        "the shared batching path",
+        "smoother-chain solve, run in the service process over its own "
+        "plan cache (no batching, no workers)",
     )
     p.add_argument(
         "--solve-dims",

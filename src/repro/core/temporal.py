@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import signal
 
 from ..sptc.mma import MmaPrecision
 from ..stencil.grid import BoundaryCondition, Grid
@@ -62,6 +61,10 @@ def fuse_kernel(spec: StencilSpec, steps: int) -> StencilSpec:
         raise ValueError("steps must be >= 1")
     if steps == 1:
         return spec
+    # imported here: scipy.signal costs ~40 MB and ~0.5 s at import, and
+    # only a multi-step fusion needs it
+    from scipy import signal
+
     w = np.asarray(spec.weights)
     fused = w
     for _ in range(steps - 1):

@@ -17,9 +17,9 @@ requests into batched SpTC passes:
 * :mod:`service` — the :class:`StencilService` façade
   (``submit / submit_many / submit_solve / stats / drain``) with a
   synchronous fallback;
-* :mod:`sessions` — solver-session futures: ``submit_solve`` decomposes a
-  multigrid V-cycle or smoother chain into per-iteration operator submits
-  riding the paths above, with convergence-aware early exit;
+* :mod:`sessions` — solver-session futures: ``submit_solve`` runs a
+  multigrid V-cycle or smoother chain on its own thread over the
+  service's plan cache, with convergence-aware early exit;
 * :mod:`telemetry` — latency / occupancy / cache-hit histograms feeding
   :mod:`repro.analysis`-style reports and Prometheus text exposition;
 * :mod:`metrics` — bounded streaming histograms plus the counter/gauge

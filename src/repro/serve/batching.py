@@ -45,8 +45,9 @@ class DeadlineExceeded(TimeoutError):
     Raised from ``result()`` when the coalescing queue or a dispatch path
     expired the future — deadlines are enforced *server-side*, so an
     expired request stops consuming worker time instead of merely timing
-    out its caller's wait.  Never retried: a deadline is a statement that
-    the answer has stopped being useful.
+    out its caller's wait.  A solver session raises it at its first
+    iteration boundary past the deadline.  Never retried: a deadline is a
+    statement that the answer has stopped being useful.
     """
 
 

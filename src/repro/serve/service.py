@@ -25,7 +25,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from dataclasses import replace as _dc_replace
+from contextlib import nullcontext
 from typing import Deque, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -36,7 +36,7 @@ from ..sptc.macpool import resolve_mac_threads
 from ..sptc.mma import MmaPrecision
 from ..stencil import multigrid
 from ..stencil.grid import BoundaryCondition, Grid
-from ..stencil.solvers import HISTORY_LIMIT, SolveResult
+from ..stencil.solvers import HISTORY_LIMIT, PlanExecutor
 from ..stencil.spec import StencilSpec
 from .batching import DeadlineExceeded, ServeRequest
 from .faults import FaultInjector, FaultPlan
@@ -44,13 +44,17 @@ from .sessions import SolveHandle
 from .metrics import MetricsRegistry
 from .plan_cache import CacheStats, PlanCache, plan_key_for
 from .telemetry import ServiceStats, ServiceTelemetry, format_service_report
-from .tracing import SpanRecorder, stage_totals, write_chrome_trace
+from .tracing import (
+    SpanRecorder,
+    batch_context,
+    stage_totals,
+    write_chrome_trace,
+)
 from .workers import (
     WORKER_TRANSPORTS,
     RetryPolicy,
     WorkerPool,
     _fail_all,
-    is_transient_failure,
     run_batch,
 )
 
@@ -107,7 +111,8 @@ class StencilService:
         Per-shard ordered-MAC thread budget.  ``None`` (default) resolves
         adaptively — ``REPRO_MAC_THREADS`` or ``cpu_count // workers``,
         so N shards never oversubscribe the machine; the sync fallback
-        gets the whole machine.  Results are bit-identical for every
+        gets the whole machine.  Solve sessions run their plans with the
+        same budget.  Results are bit-identical for every
         value (column blocks have independent per-element reductions);
         the effective count is exposed as :attr:`mac_threads`, as a
         ``repro_serve_mac_threads`` gauge, and in the service report.
@@ -118,9 +123,10 @@ class StencilService:
     retry_policy:
         The self-healing budget knobs (:class:`repro.serve.workers.RetryPolicy`):
         per-request retry budget, worker restart budget and backoff, slab
-        degradation threshold, inline fallback, and per-session solve
-        resume budget.  ``None`` selects the defaults (recovery on);
-        ``RetryPolicy.disabled()`` restores fail-fast semantics.
+        degradation threshold and inline fallback.  Solve sessions run in
+        this process and never retry.  ``None`` selects the defaults
+        (recovery on); ``RetryPolicy.disabled()`` restores fail-fast
+        semantics.
     default_deadline_s:
         Service-wide default request deadline in seconds (``None`` = no
         deadline).  ``submit(..., timeout=)`` overrides it per request;
@@ -197,7 +203,6 @@ class StencilService:
         self._submitted = 0
         self._closed = False
         self._pool: Optional[WorkerPool] = None
-        self._sync_cache: Optional[PlanCache] = None
         if workers > 0:
             self._pool = WorkerPool(
                 workers,
@@ -223,13 +228,18 @@ class StencilService:
             # the sync fallback is the only executor in this process, so
             # its adaptive budget is the whole machine (shards=1)
             self.mac_threads = resolve_mac_threads(mac_threads, 1)
-            self._sync_cache = PlanCache(
-                capacity=cache_capacity,
-                device=device,
-                mac_threads=self.mac_threads,
-                mac_col_block=mac_col_block,
-            )
-            self._sync_cache.bind_metrics(self.metrics)
+        # the service's own plans: the sync path's requests and every
+        # solve session (on any backend) run here, in this process
+        self._local_cache = PlanCache(
+            capacity=cache_capacity,
+            device=device,
+            mac_threads=self.mac_threads,
+            mac_col_block=mac_col_block,
+        )
+        self._local_cache.bind_metrics(self.metrics)
+        self._solve_executor = PlanExecutor(
+            self._local_cache, precision=self.precision, variant=self.variant
+        )
         self.metrics.gauge(
             "repro_serve_mac_threads",
             "Effective ordered-MAC threads per worker shard.",
@@ -363,7 +373,7 @@ class StencilService:
         request."""
         run_batch(
             [req],
-            self._sync_cache,
+            self._local_cache,
             telemetry=self._telemetry,
             tracer=self.tracer,
             track="sync",
@@ -394,41 +404,33 @@ class StencilService:
         """Run an iterative solve of ``A u = f`` as a solver *session*.
 
         ``spec`` is the stencil operator ``A`` (zero Dirichlet
-        boundaries), ``rhs`` the right-hand side ``f``.  The session
-        decomposes into per-iteration operator submits — smoothing sweeps,
-        residuals, full-weighting restriction and bilinear prolongation
-        for ``cycle="v"``, or a single smoother chain for
-        ``cycle="jacobi"`` / ``"rb"`` — each riding the ordinary
-        coalescing/sharding/shm path, so concurrent sessions (including
-        different multigrid levels of different solves) interleave their
-        applications in shared batches.  Residual norms are computed
-        parent-side after every iteration and the session exits as soon as
-        ``||f - A u|| / ||f|| < tol``.
+        boundaries), ``rhs`` the right-hand side ``f``.  The session runs
+        :func:`repro.stencil.multigrid.solve` once, on its own thread,
+        through a :class:`~repro.stencil.solvers.PlanExecutor` over the
+        service's own plan cache — a V-cycle (``cycle="v"``) or a smoother
+        chain (``"jacobi"`` / ``"rb"``) whose operator applications never
+        cross the request queue or a worker, on every backend.  Residual
+        norms are computed after every iteration and the session exits as
+        soon as ``||f - A u|| / ||f|| < tol``.
 
         Returns a :class:`~repro.serve.sessions.SolveHandle`; its
         ``result()`` is byte-identical to running
         :func:`repro.stencil.multigrid.solve` inline over a
-        plan-cached executor with the same configuration — same operator
-        sequence, same fused plans, same parent-side glue.
+        :class:`~repro.stencil.solvers.PlanExecutor` with the same
+        configuration, by construction: it is that call.
 
         Validation (mirroring the inline solver APIs): ``tol <= 0``,
         ``max_iters < 1``, an ``x0`` whose shape mismatches ``rhs``, an
         unknown ``cycle``/``smoother``, or a non-zero-BC grid all raise
-        :class:`ValueError` before any request is enqueued.
+        :class:`ValueError` before the session starts.
 
         ``timeout`` (seconds; defaults to the service's
-        ``default_deadline_s``) deadlines the whole session: every
-        per-iteration operator submit inherits the *remaining* budget, and
-        the handle fails with
-        :class:`~repro.serve.batching.DeadlineExceeded` once it runs out —
-        a session never outlives its deadline by one iteration.
-
-        A session is also *self-healing*: if an operator application fails
-        transiently (worker crash, slab error, injected fault) after
-        iteration ``k`` completed, the driver resumes the solve from the
-        checkpointed iterate ``u_k`` — byte-identical to the uninterrupted
-        trajectory, because iteration ``k+1`` depends only on ``u_k`` and
-        ``f`` — up to ``RetryPolicy.solve_retries`` times per session.
+        ``default_deadline_s``) deadlines the whole session.  It is
+        checked after every iteration: the handle fails with
+        :class:`~repro.serve.batching.DeadlineExceeded` at the first
+        iteration boundary past it, so a session outlives its deadline by
+        at most one iteration.  A failing operator application fails the
+        session.
         """
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
@@ -494,120 +496,74 @@ class StencilService:
     ) -> None:
         """Session driver (one daemon thread per in-flight solve).
 
-        The driver owns the session's self-healing: ``on_state``
-        checkpoints the last completed iterate, and a transient failure
-        (within ``RetryPolicy.solve_retries``) restarts
-        :func:`multigrid.solve` with ``x0`` = that checkpoint and the
-        *remaining* iteration budget.  Because iteration ``k+1`` is a pure
-        function of ``u_k`` and ``f``, the resumed trajectory — and the
-        stitched iteration count / residual history — is byte-identical to
-        an uninterrupted run.
+        Runs :func:`multigrid.solve` once over the service's plan cache.
+        After every iteration ``on_iteration`` records progress, telemetry
+        and the ``solver_iteration`` span, then stops the solve if the
+        service has closed or the deadline has passed.  A traced session
+        runs inside its own batch context, so the plan compiles and
+        executor stages of its operator applications land on its track,
+        under its ``solve`` root span.
         """
         clock = self._clock
+        track = f"solve-{handle.solve_id}"
         session_start = clock()
         iter_start = [session_start]
-        # iterations completed in *prior* (interrupted) runs, and the last
-        # checkpointed iterate / per-run progress of the current one
-        base = [0]
-        state = {"u": None, "run_it": 0}
-        run_hist: List[float] = []
-        prior_hist: List[float] = []
-        resumes_left = self._policy.solve_retries
 
         def on_iteration(it: int, residual: float) -> None:
             now = clock()
-            handle._note_iteration(base[0] + it, residual)
+            handle._note_iteration(it, residual)
             self._telemetry.record_solve_iteration(residual)
-            run_hist.append(residual)
             if trace_ids is not None:
                 self.tracer.record_span(
                     "solver_iteration",
-                    f"solve-{handle.solve_id}",
+                    track,
                     iter_start[0],
                     now - iter_start[0],
                     trace_ids[0],
                     parent_id=trace_ids[1],
                     args={
-                        "iteration": base[0] + it,
+                        "iteration": it,
                         "residual": residual,
                         "cycle": handle.cycle,
                     },
                 )
             iter_start[0] = now
-
-        def on_state(it: int, u: np.ndarray) -> None:
-            # checkpoint the completed iterate for byte-identical resume
-            state["u"] = u
-            state["run_it"] = it
-
-        def apply(s, g):
-            # every operator application is an ordinary served request —
-            # this is what makes sessions batch against each other.  Under
-            # a session deadline every submit inherits the remaining
-            # budget, so the per-request machinery sheds expired work.
-            if deadline_s is None:
-                return self.submit(s, g).result()
-            remaining = deadline_s - clock()
-            if remaining <= 0:
+            if self._closed:
+                raise ServiceClosedError(
+                    f"solve {handle.solve_id} stopped after {it} "
+                    "iterations: the service closed"
+                )
+            if deadline_s is not None and now >= deadline_s:
                 raise DeadlineExceeded(
                     f"solve {handle.solve_id} missed its deadline after "
-                    f"{base[0] + state['run_it']} iterations"
+                    f"{it} iterations"
                 )
-            return self.submit(s, g, timeout=remaining).result()
 
-        while True:
-            run_opts = dict(opts)
-            if state["u"] is not None:
-                run_opts["x0"] = state["u"]
-                run_opts["max_iters"] = opts["max_iters"] - base[0]
-            try:
-                result: SolveResult = multigrid.solve(
+        traced = (
+            nullcontext()
+            if trace_ids is None
+            else batch_context(self.tracer, trace_ids[0], trace_ids[1], track)
+        )
+        try:
+            with traced:
+                result = multigrid.solve(
                     spec,
                     rhs,
-                    executor=apply,
+                    executor=self._solve_executor,
                     on_iteration=on_iteration,
-                    on_state=on_state,
-                    **run_opts,
+                    **opts,
                 )
-            except Exception as exc:
-                completed = base[0] + state["run_it"]
-                can_resume = (
-                    is_transient_failure(exc)
-                    and resumes_left > 0
-                    and opts["max_iters"] - completed >= 1
-                    and not isinstance(exc, DeadlineExceeded)
-                )
-                if not can_resume:
-                    self._telemetry.record_solve_failure()
-                    handle._fail(exc)
-                    return
-                resumes_left -= 1
-                base[0] = completed
-                state["run_it"] = 0
-                prior_hist.extend(run_hist)
-                run_hist.clear()
-                self._telemetry.record_solve_resume()
-                continue
-            break
-        if base[0] > 0:
-            # stitch the interrupted runs back into one seamless result
-            full_hist = prior_hist + list(result.residual_history)
-            if opts["record_history"]:
-                full_hist = full_hist[-int(opts["history_limit"]):]
-            else:
-                full_hist = []
-            result = _dc_replace(
-                result,
-                iterations=base[0] + result.iterations,
-                residual_history=full_hist,
-            )
+        except Exception as exc:
+            self._telemetry.record_solve_failure()
+            handle._fail(exc)
+            return
         self._telemetry.record_solve(
             result.iterations, result.residual, result.converged
         )
         if trace_ids is not None:
             self.tracer.record_span(
                 "solve",
-                f"solve-{handle.solve_id}",
+                track,
                 session_start,
                 clock() - session_start,
                 trace_ids[0],
@@ -648,12 +604,14 @@ class StencilService:
             head.wait(remaining)
 
     def stats(self) -> ServiceStats:
-        """Aggregate telemetry + plan-cache counters across all shards."""
-        if self._pool is not None:
-            per_worker = tuple(self._pool.cache_stats())
+        """Aggregate telemetry + plan-cache counters across all shards
+        (``cache`` also counts the service's own cache, where solves run)."""
+        local = (self._local_cache.stats(),)
+        if self._pool is None:
+            per_worker = caches = local
         else:
-            assert self._sync_cache is not None
-            per_worker = (self._sync_cache.stats(),)
+            per_worker = tuple(self._pool.cache_stats())
+            caches = per_worker + local
         with self._lock:
             self._prune_inflight_locked()
             submitted = self._submitted
@@ -663,7 +621,7 @@ class StencilService:
             submitted=submitted,
             inflight=inflight,
             telemetry=self._telemetry.snapshot(),
-            cache=CacheStats.aggregate(per_worker),
+            cache=CacheStats.aggregate(caches),
             per_worker_cache=per_worker,
             backend=self.backend,
             transport=self.transport,
@@ -694,17 +652,23 @@ class StencilService:
         """Stop accepting requests and shut the workers down (idempotent).
 
         Pending requests are drained before the worker threads exit.
+        Running solve sessions stop at their next iteration boundary with
+        :class:`ServiceClosedError`; ``close`` waits for them.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            solves = list(self._solves)
         if self._pool is not None:
             self._pool.close(join=True)
-        if self._sync_cache is not None:
-            # plans (and their stats) stay resident; parked MAC helper
-            # threads do not outlive the service
-            self._sync_cache.release_pools()
+        # a session still running would re-create its plans' MAC pools
+        # after the release below, and nothing would shut them down
+        for handle in solves:
+            handle.wait()
+        # plans (and their stats) stay resident; parked MAC helper
+        # threads do not outlive the service
+        self._local_cache.release_pools()
 
     def __enter__(self) -> "StencilService":
         return self

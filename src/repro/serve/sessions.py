@@ -1,14 +1,13 @@
 """Solver sessions: iterative solves as first-class serving futures.
 
 A :meth:`~repro.serve.StencilService.submit_solve` call is not one
-request — it is a *session* that decomposes into a stream of per-iteration
-operator submits (smoothing sweeps, residuals, restrictions,
-prolongations), each riding the service's ordinary coalescing / sharding /
-shm path.  The session driver runs on its own daemon thread, blocks on the
-data dependency no solver can avoid (iteration ``k+1`` needs iteration
-``k``), and computes residual norms parent-side for convergence-aware
-early exit; concurrent sessions interleave their operator submits into
-shared batches whenever they hit the same plan.
+request — it is a *session*: one :func:`repro.stencil.multigrid.solve`
+call on its own daemon thread, whose operator applications (smoothing
+sweeps, residuals, restrictions, prolongations) run through the
+service's own plan cache, never through the request queue or a worker.
+Residual norms after every iteration drive convergence-aware early exit,
+and the iteration boundary is where a session notices its deadline or a
+closed service.
 
 :class:`SolveHandle` is the future the caller holds: ``result()`` blocks
 for the final :class:`~repro.stencil.solvers.SolveResult`, while

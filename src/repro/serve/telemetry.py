@@ -124,8 +124,8 @@ class TelemetrySnapshot:
     #: hit their tolerance before ``max_iters`` ran out
     solves: int = 0
     solves_converged: int = 0
-    #: sessions that died on an exception (their operator requests are
-    #: already counted in ``errors`` where applicable)
+    #: sessions that died on an exception: a failing operator
+    #: application, a missed deadline or a closed service
     solve_failures: int = 0
     #: total solver iterations across all completed sessions (exact)
     solve_iterations_total: int = 0
@@ -144,9 +144,6 @@ class TelemetrySnapshot:
     slab_degrades: int = 0
     #: batches executed in-parent as the terminal fallback (no live shard)
     inline_batches: int = 0
-    #: solver sessions resumed from their last completed iteration after
-    #: a transient failure exhausted the per-request retry budget
-    solve_resumes: int = 0
     #: batches on which the fault-injection harness fired
     faults_injected: int = 0
 
@@ -197,7 +194,6 @@ class ServiceTelemetry:
         self._worker_restarts = 0
         self._slab_degrades = 0
         self._inline_batches = 0
-        self._solve_resumes = 0
         self._faults_injected = 0
 
     def record_batch(
@@ -271,10 +267,6 @@ class ServiceTelemetry:
         with self._lock:
             self._inline_batches += 1
 
-    def record_solve_resume(self) -> None:
-        with self._lock:
-            self._solve_resumes += 1
-
     def record_fault_injected(self) -> None:
         with self._lock:
             self._faults_injected += 1
@@ -309,7 +301,6 @@ class ServiceTelemetry:
                 worker_restarts=self._worker_restarts,
                 slab_degrades=self._slab_degrades,
                 inline_batches=self._inline_batches,
-                solve_resumes=self._solve_resumes,
                 faults_injected=self._faults_injected,
             )
 
@@ -418,11 +409,6 @@ class ServiceStats:
                 "repro_serve_inline_batches_total", "counter",
                 "Batches executed in-parent as the terminal fallback.",
                 float(t.inline_batches),
-            ),
-            MetricSample(
-                "repro_serve_solve_resumes_total", "counter",
-                "Solver sessions resumed from their last iteration.",
-                float(t.solve_resumes),
             ),
             MetricSample(
                 "repro_serve_faults_injected_total", "counter",
@@ -558,7 +544,6 @@ def format_service_report(stats: ServiceStats) -> str:
         or t.worker_restarts
         or t.slab_degrades
         or t.inline_batches
-        or t.solve_resumes
         or t.deadline_expired
     ):
         lines.append(
@@ -566,7 +551,6 @@ def format_service_report(stats: ServiceStats) -> str:
             f"  restarts {t.worker_restarts}"
             f"  degrades {t.slab_degrades}"
             f"  inline {t.inline_batches}"
-            f"  resumes {t.solve_resumes}"
             f"  expired {t.deadline_expired}"
         )
     if t.faults_injected:

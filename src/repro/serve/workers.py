@@ -176,11 +176,8 @@ class RetryPolicy:
         plan cache instead of failing them — the terminal rung of the
         degradation ladder.  ``False`` fails them with
         :class:`WorkerCrashed` instead.
-    solve_retries:
-        Times a solver session resumes from its last completed iterate
-        after a transient failure leaks through the per-request budget
-        (iteration ``k+1`` depends only on ``u_k`` and ``f``, so the
-        resumed trajectory is byte-identical).
+
+    Solve sessions never touch a worker, so no knob here applies to them.
     """
 
     retry_budget: int = 2
@@ -189,15 +186,9 @@ class RetryPolicy:
     budget_window_s: float = 60.0
     slab_error_threshold: int = 3
     inline_fallback: bool = True
-    solve_retries: int = 2
 
     def __post_init__(self) -> None:
-        for name in (
-            "retry_budget",
-            "restart_budget",
-            "slab_error_threshold",
-            "solve_retries",
-        ):
+        for name in ("retry_budget", "restart_budget", "slab_error_threshold"):
             if getattr(self, name) < 0:
                 raise ValueError(
                     f"{name} must be >= 0, got {getattr(self, name)}"
@@ -223,7 +214,6 @@ class RetryPolicy:
             restart_backoff_s=0.0,
             slab_error_threshold=0,
             inline_fallback=False,
-            solve_retries=0,
         )
 
 #: Supported process-backend grid/result transports (module docstring).

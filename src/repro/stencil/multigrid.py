@@ -4,19 +4,18 @@ Every heavy operation in a multigrid cycle — weighted-Jacobi and red-black
 smoothing sweeps, the residual, full-weighting restriction, bilinear
 prolongation — is expressed here as a plain :class:`StencilSpec`
 application on some grid shape, so the whole cycle rides cached fused
-plans: through a :class:`~repro.stencil.solvers.PlanExecutor` when run
-inline, or through :meth:`repro.serve.StencilService.submit_solve` when
-served (each level's shape resolves to its own plan, and concurrent solves
-coalesce into shared batches per plan).
+plans through a :class:`~repro.stencil.solvers.PlanExecutor` (each
+level's shape resolves to its own plan).
+:meth:`repro.serve.StencilService.submit_solve` runs this same :func:`solve`
+over a ``PlanExecutor`` on the service's own plan cache.
 
 The glue between applications — axpy updates, red/black masking, strided
 subsampling after full weighting, zero-stuffing before interpolation, the
-parent-side residual norms that drive early exit — is deterministic numpy
-on the caller's side.  Because both the inline and the served path execute
-the *identical operator sequence through the identical fused plans* with
-identical glue, their solutions are byte-identical, not merely close (the
-differential suite in ``tests/test_serve_solvers.py`` enforces this across
-backends and precisions).
+residual norms that drive early exit — is deterministic numpy on the
+caller's side.  Because the inline and the served path are the same call
+through the same fused plans, their solutions are byte-identical, not
+merely close (the differential suite in ``tests/test_serve_solvers.py``
+checks this across backends and precisions).
 
 Model problem and convergence semantics
 ---------------------------------------
@@ -417,7 +416,6 @@ def solve(
     record_history: bool = False,
     history_limit: int = HISTORY_LIMIT,
     on_iteration: Optional[Callable[[int, float], None]] = None,
-    on_state: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> SolveResult:
     """Solve ``A u = f`` for the stencil operator ``spec`` (zero BC).
 
@@ -431,14 +429,10 @@ def solve(
     ``executor`` is any ``(spec, grid) -> ndarray`` callable; the default
     is the shared plan-cached executor.  ``on_iteration(it, residual)``
     is invoked after each iteration — the serving layer uses it for spans
-    and telemetry without perturbing the numerics.  ``on_state(it, u)``
-    is invoked right after with the completed iterate itself: because
-    iteration ``k+1`` depends only on ``u_k`` and ``f``, a caller that
-    checkpoints ``u`` can *resume* an interrupted solve with ``x0=u_k``
-    and reproduce the remaining trajectory byte-identically — the serving
-    layer's session-resume path.  This one driver is what both the inline
-    and the served solve path run, which is the mechanism behind the
-    byte-identity guarantee.
+    and telemetry without perturbing the numerics, and stops a session by
+    raising from it.  A served solve session is this same call over a
+    :class:`~repro.stencil.solvers.PlanExecutor`, which is the mechanism
+    behind the byte-identity guarantee.
     """
     if isinstance(rhs, Grid):
         if rhs.bc is not BoundaryCondition.ZERO:
@@ -490,8 +484,6 @@ def solve(
             history.append(residual_norm)
         if on_iteration is not None:
             on_iteration(it, residual_norm)
-        if on_state is not None:
-            on_state(it, u)
         if residual_norm < tol:
             return SolveResult(
                 u, it, residual_norm, True, list(history or ())

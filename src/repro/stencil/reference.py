@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import BoundaryCondition, Grid
 from .spec import StencilSpec
@@ -69,6 +68,10 @@ def vectorized_stencil(spec: StencilSpec, grid: Grid) -> np.ndarray:
 
     Matches :func:`naive_stencil` to floating-point round-off.
     """
+    # imported here: scipy.ndimage costs ~40 MB and ~0.5 s at import,
+    # and nothing on the serving path calls this function
+    from scipy import ndimage
+
     if spec.dims != grid.dims:
         raise ValueError(f"spec is {spec.dims}D but grid is {grid.dims}D")
     mode = _SCIPY_MODE[grid.bc]

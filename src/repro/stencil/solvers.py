@@ -8,10 +8,9 @@ naive reference path: :class:`PlanExecutor` resolves
 ``(spec, precision, grid shape)`` through a
 :class:`~repro.serve.plan_cache.PlanCache`, so every operator application
 inside a solve runs the same fused compile plan the serving stack runs.
-That is what makes solver chains *differentially testable* against served
-solver sessions (:meth:`repro.serve.StencilService.submit_solve`): both
-sides execute the identical plan through the identical batch path, so the
-results are byte-identical, not merely close.
+A served solver session (:meth:`repro.serve.StencilService.submit_solve`)
+is a solve over a ``PlanExecutor`` on the service's own plan cache, so
+its results are byte-identical to an inline solve, not merely close.
 
 Pass :func:`~repro.stencil.reference.vectorized_stencil` explicitly to get
 the old reference behaviour (solver-level tests still do, as long-horizon

@@ -307,9 +307,8 @@ def solve_stream(
     ``rate_sps = 0`` yields a closed-loop burst (issue as fast as sessions
     can be opened); ``rate_sps > 0`` yields Poisson arrivals at that many
     solves/second.  Each request draws a fresh random right-hand side, so
-    a trace is repeat-heavy per operator but unique per solve — the
-    heterogeneous multi-plan request graph the batcher and cache are
-    stressed by (every multigrid level of every session is its own plan).
+    a trace is repeat-heavy per operator but unique per solve, and every
+    multigrid level of every session is its own plan in the cache.
     """
     validate_iteration_args(tol, max_iters, name="max_iters")
     if cycle not in CYCLES:

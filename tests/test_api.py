@@ -2,6 +2,9 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -97,3 +100,25 @@ def test_version_string():
 
     parts = repro.__version__.split(".")
     assert len(parts) == 3 and all(p.isdigit() for p in parts)
+
+
+def test_importing_the_packages_loads_no_scipy():
+    """scipy.signal and scipy.ndimage cost ~80 MB and ~1 s at import; the
+    two functions that use them import them on first call instead."""
+    code = (
+        "import sys, repro, repro.serve, repro.stencil, repro.core\n"
+        "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
+        "PYTHONPATH", ""
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, f"scipy loaded at import\n{proc.stderr}"

@@ -1,21 +1,23 @@
 """Differential suite for solver sessions (`StencilService.submit_solve`).
 
-A solver session decomposes a multigrid V-cycle or smoother chain into
-per-iteration operator submits riding the coalescing/sharding/shm path.
-That is only shippable if the decomposition is *enforced* to be exact:
-the served solve must return byte-identical solutions, iteration counts
-and residuals to the sequential sync reference chain
-(:func:`repro.stencil.multigrid.solve` over a :class:`PlanExecutor`),
-across dims x precision x thread/process/sync backends.  This module
-also pins convergence-aware early exit, concurrent-session interleaving
-(cross-session batch sharing), residual-history bounding, and the
-eager-validation contract.
+A solver session runs a multigrid V-cycle or smoother chain on its own
+thread over the service's plan cache.  The served solve must return
+byte-identical solutions, iteration counts and residuals to the
+sequential sync reference chain (:func:`repro.stencil.multigrid.solve`
+over a :class:`PlanExecutor`), across dims x precision x
+thread/process/sync backends.  This module also pins convergence-aware
+early exit, concurrent sessions, residual-history bounding, tracing,
+close() while a session runs, and the eager-validation contract.
 """
+
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.serve import StencilService
+from repro.serve import ServiceClosedError, StencilService
+from repro.sptc.macpool import live_mac_threads
 from repro.stencil import (
     BoundaryCondition,
     Grid,
@@ -121,11 +123,9 @@ def test_fp16_precision_session_matches_reference(backend, rng):
 
 
 @pytest.mark.parametrize("backend", ["sync", "thread"])
-def test_concurrent_sessions_interleave_in_shared_batches(backend, rng):
-    """Concurrent solves interleave: sessions submitted together must
-    still each match their solo reference bit-for-bit, while their
-    per-iteration submits coalesce into shared batches (occupancy > 1).
-    On the sync path the session threads share one plan cache, so this
+def test_concurrent_sessions_match_their_solo_references(backend, rng):
+    """Sessions submitted together must each match their solo reference
+    bit-for-bit.  Their threads share the service's plan cache, so this
     also checks that callers sharing a plan never corrupt each other."""
     wls = solver_workloads((1, 2))
     requests = [
@@ -138,9 +138,24 @@ def test_concurrent_sessions_interleave_in_shared_batches(backend, rng):
         _assert_same_solve(ref, out)
     assert stats.telemetry.solves == len(requests)
     assert stats.telemetry.solves_converged == len(requests)
-    if backend == "thread":
-        # cross-session batch sharing actually happened
-        assert stats.telemetry.occupancy["max"] > 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_session_serves_no_requests(backend, rng):
+    """A session is one inline solve over the service's own plan cache:
+    it submits no request, forms no batch, and compiles exactly the plans
+    a direct PlanExecutor solve compiles."""
+    spec = poisson_operator_spec(2)
+    rhs = Grid.random((31, 31), rng)
+    opts = dict(tol=1e-8, max_iters=30)
+    with PlanExecutor(mac_threads=1) as ex:
+        ref = multigrid.solve(spec, rhs, executor=ex, **opts)
+        plans = ex.stats().misses
+    (got,), stats = _served_solves([(spec, rhs)], backend=backend, **opts)
+    _assert_same_solve(ref, got)
+    assert stats.telemetry.requests == 0
+    assert stats.telemetry.batches == 0
+    assert stats.cache.misses == plans
 
 
 def test_early_exit_stops_before_iteration_cap(rng):
@@ -243,6 +258,37 @@ def test_drain_waits_for_sessions_and_close_rejects_new_ones(rng):
         svc.close()
     with pytest.raises(RuntimeError):
         svc.submit_solve(spec, rhs, tol=1e-8, max_iters=30)
+
+
+def test_close_stops_a_running_session_and_leaks_no_threads(rng):
+    """close() stops a running session at its next iteration boundary and
+    waits for it before releasing the MAC pools, so no pool is re-created
+    after the release and no thread the service started outlives it."""
+    before = set(threading.enumerate())
+    svc = StencilService(workers=1, backend="thread", mac_threads=2)
+    # 255^2 is large enough for the plans to start their MAC pools
+    h = svc.submit_solve(
+        poisson_operator_spec(2),
+        Grid.random((255, 255), rng),
+        tol=1e-15,
+        max_iters=500,
+    )
+    deadline = time.monotonic() + 120.0
+    while h.iterations < 1 and not h.done() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert h.iterations >= 1
+    svc.close()
+    assert h.done()
+    assert isinstance(h.exception(timeout=0), ServiceClosedError)
+    assert live_mac_threads() == 0
+    # the session thread returns right after it fails its handle
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        leaked = [t.name for t in threading.enumerate() if t not in before]
+        if not leaked:
+            break
+        time.sleep(0.01)
+    assert not leaked, f"threads outlived close(): {leaked}"
 
 
 def test_solve_failure_routed_to_handle_and_counted(rng):
@@ -379,3 +425,23 @@ def test_traced_sessions_emit_solver_iteration_spans(rng):
     iter_spans = [s for s in spans if s.name == "solver_iteration"]
     assert len(iter_spans) == res.iterations
     assert any(s.name == "solve" for s in spans)
+
+
+def test_traced_session_records_executor_stages_on_its_track(rng):
+    """A traced session runs inside its own batch context: the plan
+    compiles and executor stages of its operator applications land on
+    its track, in its trace."""
+    spec = poisson_operator_spec(2)
+    rhs = Grid.random((31, 31), rng)
+    with StencilService(trace=True, **_service_kwargs("thread")) as svc:
+        h = svc.submit_solve(spec, rhs, tol=1e-8, max_iters=30)
+        h.result(timeout=120)
+        spans = svc.trace_spans()
+    track = f"solve-{h.solve_id}"
+    root = next(s for s in spans if s.name == "solve" and s.track == track)
+    names = {
+        s.name
+        for s in spans
+        if s.track == track and s.trace_id == root.trace_id
+    }
+    assert {"solver_iteration", "plan_compile", "mac.pad", "mac.gemm"} <= names
