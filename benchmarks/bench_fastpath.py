@@ -6,7 +6,7 @@ Measures, for stencils spanning 1D/2D/3D x star/box x r in {1,2,3}:
   (:meth:`SpiderExecutor._reference_run` — one line gather, windowing pass
   and GEMM per kernel row, allocating as the seed did) against the fused
   plan (:meth:`SpiderExecutor.run_batch` — one windowing pass, one ordered
-  ``K_all @ X`` per line block, plan-owned workspaces);
+  ``K_all @ X`` per line block, runner-owned workspaces);
 * **serving throughput**: a closed-loop trace through
   :class:`repro.serve.StencilService`, whose workers now execute the fused
   plan via ``run_batch_split``.

@@ -4,14 +4,14 @@ With fused-K GEMM, temporal fusion and the shm transport landed, the
 single-threaded ordered einsum MAC is the dominant term in batch service
 time.  The MAC is column-parallel with bit-identical results by
 construction — each column block of ``K_all @ X`` has an independent
-per-element reduction — so spreading blocks over the plan-owned
+per-element reduction — so spreading blocks over a runner's
 :class:`~repro.sptc.macpool.MacThreadPool` buys wall-clock without
 touching a single bit.  This benchmark measures, on one MAC-dominated
 configuration (2D r=2 box, grid large enough that every line block
 clears the serial column threshold):
 
-* **single-request sweep throughput** through the executor at
-  ``mac_threads=1`` vs ``mac_threads=cores`` — the acceptance gate
+* **single-request sweep throughput** of one executor on a
+  ``SweepRunner(1)`` vs a ``SweepRunner(cores)`` — the acceptance gate
   (>= 1.5x, armed where ``os.cpu_count() >= 2`` like the PR 3 process
   gate);
 * **bit-identity on the measured traffic** — serial and threaded sweeps
@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.executor import SpiderExecutor
+from repro.core.executor import SpiderExecutor, SweepRunner
 from repro.serve import StencilService
 from repro.serve.workers import _BLAS_THREAD_ENV_VARS
 from repro.stencil import Grid, make_box_kernel
@@ -66,19 +66,19 @@ def _bench_threads(cores: int) -> int:
     return max(2, cores)
 
 
-def _time_sweeps(executor, grid, reps: int):
+def _time_sweeps(executor, runner, grid, reps: int):
     """Best-per-sweep wall time plus whole-window CPU/wall ratio.
 
     ``time.process_time`` sums CPU over *all* threads of this process, so
     the ratio is the empirical core usage: ~1 for a serial MAC with a
     pinned BLAS, ~threads for a parallel MAC actually drawing its budget.
     """
-    out = executor.run(grid)  # warm plans, workspaces, pool threads
+    out = executor.run(grid, runner)  # warm workspaces, pool threads
     best = float("inf")
     wall0, cpu0 = time.perf_counter(), time.process_time()
     for _ in range(reps):
         t0 = time.perf_counter()
-        out = executor.run(grid)
+        out = executor.run(grid, runner)
         best = min(best, time.perf_counter() - t0)
     wall = time.perf_counter() - wall0
     cpu = time.process_time() - cpu0
@@ -122,12 +122,17 @@ def bench_mac_threads(
     spec = make_box_kernel(2, radius, rng)
     grid = Grid.random(size, rng)
 
-    serial_ex = SpiderExecutor(spec, mac_threads=1)
-    parallel_ex = SpiderExecutor(spec, mac_threads=threads)
-    t_serial, serial_ratio, out_serial = _time_sweeps(serial_ex, grid, reps)
-    t_parallel, parallel_ratio, out_parallel = _time_sweeps(
-        parallel_ex, grid, reps
-    )
+    executor = SpiderExecutor(spec)
+    serial, parallel = SweepRunner(1), SweepRunner(threads)
+    try:
+        t_serial, serial_ratio, out_serial = _time_sweeps(
+            executor, serial, grid, reps
+        )
+        t_parallel, parallel_ratio, out_parallel = _time_sweeps(
+            executor, parallel, grid, reps
+        )
+    finally:
+        parallel.close()
     identical = out_serial.tobytes() == out_parallel.tobytes()
 
     serve_serial, srv_out_1 = _serve_sequential(

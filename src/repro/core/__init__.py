@@ -8,15 +8,7 @@ from .encoding import (
     stack_encoded_rows,
     structural_compress,
 )
-from .costmodel import (
-    BatchFeatures,
-    CalibrationResult,
-    CalibrationSample,
-    CostModel,
-    batch_features,
-    calibrate,
-)
-from .executor import FaithfulRunReport, SpiderExecutor
+from .executor import FaithfulRunReport, SpiderExecutor, SweepRunner
 from .kernel_matrix import (
     K_ALIGN,
     build_kernel_matrix,
@@ -64,12 +56,6 @@ from .tiling import TilePlan, make_tile_plan
 __all__ = [
     "SpiderCost",
     "spider_cost",
-    "BatchFeatures",
-    "CalibrationResult",
-    "CalibrationSample",
-    "CostModel",
-    "batch_features",
-    "calibrate",
     "EncodedKernelRow",
     "build_fused_operator",
     "stack_encoded_rows",
@@ -77,6 +63,7 @@ __all__ = [
     "structural_compress",
     "FaithfulRunReport",
     "SpiderExecutor",
+    "SweepRunner",
     "K_ALIGN",
     "build_kernel_matrix",
     "choose_L",

@@ -202,8 +202,6 @@ def build_fused_operator(
     encoded: List[EncodedKernelRow],
     precision: str,
     use_sptc: bool = True,
-    mac_threads: Optional[int] = None,
-    mac_col_block: Optional[int] = None,
 ) -> FusedStencilOperator:
     """AOT stage ➍: compile the fused single-GEMM operator for a stencil.
 
@@ -212,8 +210,6 @@ def build_fused_operator(
     geometry and swap permutation), applies the selection stage once
     through the precomputed index tensor and casts the operand to its MAC
     dtype — everything the runtime GEMM needs, owned by the compile plan.
-    ``mac_threads`` / ``mac_col_block`` are the ordered MAC's parallelism
-    plan parameters (bit-identical output for every setting).
     """
     stacked = stack_encoded_rows(encoded)
     return FusedStencilOperator(
@@ -224,6 +220,4 @@ def build_fused_operator(
             None if use_sptc else [e.dense_unswapped for e in encoded]
         ),
         precision=precision,
-        mac_threads=mac_threads,
-        mac_col_block=mac_col_block,
     )

@@ -8,9 +8,10 @@ Three execution paths:
   :class:`repro.sptc.fused.FusedStencilOperator`), and a sweep is one
   windowing pass over the padded input plus one ``K_all @ X`` GEMM per
   line chunk — instead of one line-gather, one windowing pass and one GEMM
-  *per kernel row*.  All large buffers live in a plan-owned workspace
-  arena reused across calls, so steady-state serving performs zero large
-  allocations.
+  *per kernel row*.  The executor itself is immutable compiled data; all
+  large buffers and the MAC thread pool belong to the caller's
+  :class:`SweepRunner`, whose workspace arena is reused across calls, so
+  steady-state serving performs zero large allocations.
 * ``._reference_run()`` — the original per-row fast path, kept verbatim in
   structure (per-row line gather, windowing, GEMM, accumulate) as the
   equivalence oracle the fused path is tested bit-identical against.
@@ -45,8 +46,10 @@ an all-zero output, never a value.
 from __future__ import annotations
 
 import math
+import os
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -58,7 +61,7 @@ from ..gpu.memory import AccessAudit, audit_warp_access
 from ..sptc.formats import Sparse24Matrix
 from ..sptc.fused import FusedStencilOperator
 from ..sptc.instruction import InstructionStream
-from ..sptc.macpool import split_ranges
+from ..sptc.macpool import MacThreadPool, resolve_mac_threads, split_ranges
 from ..sptc.mma import MmaPrecision
 from ..sptc.mma_sp import (
     mma_sp_lanewise,
@@ -71,7 +74,13 @@ from ..stencil.spec import StencilSpec
 from .encoding import EncodedKernelRow, build_fused_operator, encode_kernel_row
 from .row_swap import baseline_row_offset_fn, swapped_row_offset_fn
 
-__all__ = ["SpiderExecutor", "FaithfulRunReport", "set_stage_hook"]
+__all__ = [
+    "FaithfulRunReport",
+    "SpiderExecutor",
+    "SweepRunner",
+    "default_runner",
+    "set_stage_hook",
+]
 
 #: Optional tracing hook.  ``_STAGE_HOOK()`` is called once per fused
 #: sweep and returns an ``emit(stage, start_s, dur_s)`` callable — or
@@ -96,8 +105,6 @@ def _rebuild_executor(
     precision: str,
     use_sptc: bool,
     batch_rows: int,
-    mac_threads: Optional[int] = None,
-    mac_col_block: Optional[int] = None,
 ) -> "SpiderExecutor":
     """Unpickle hook for :class:`SpiderExecutor` (module-level for pickle)."""
     return SpiderExecutor(
@@ -105,8 +112,6 @@ def _rebuild_executor(
         precision,
         use_sptc=use_sptc,
         batch_rows=batch_rows,
-        mac_threads=mac_threads,
-        mac_col_block=mac_col_block,
     )
 
 
@@ -149,10 +154,10 @@ class _PlanWorkspace:
     has served (``batch`` is a *capacity*: every per-batch array is a
     leading-dim prefix of the capacity-sized one, so smaller batches run
     in views of the same buffers and variable coalesced batch sizes never
-    thrash the arena).  The executor keeps a small LRU of workspaces so
-    steady-state serving (same plan, same shapes) never allocates
-    grid-sized arrays per call.  Everything here is a pure function of the
-    geometry:
+    thrash the arena).  A :class:`SweepRunner` keeps a small LRU of
+    workspaces per executor so steady-state serving (same plan, same
+    shapes) never allocates grid-sized arrays per call.  Everything here
+    is a pure function of the geometry:
 
     * ``padded`` — the stacked, halo-padded input buffer, one row per
       padded *line* (last-axis vector), right-extended with the structural
@@ -260,6 +265,144 @@ class _PlanWorkspace:
         return int(total)
 
 
+class SweepRunner:
+    """Everything a sweep mutates: workspaces, the MAC pool and its lock.
+
+    A compiled :class:`SpiderExecutor` is immutable, so it can be shared
+    by any number of threads; the state a sweep writes lives here
+    instead, and each caller that sweeps concurrently owns its own
+    runner (a worker shard, a process worker, a solve session, the
+    service's synchronous path).  Results never depend on the runner:
+    every thread count is bit-identical.
+
+    * ``threads`` — the ordered MAC's thread budget, resolved by
+      :func:`~repro.sptc.macpool.resolve_mac_threads` (``None`` =
+      ``REPRO_MAC_THREADS`` or the usable core count);
+    * ``lock`` — held by the executor for the whole of each batch call
+      (a chained :meth:`SpiderExecutor.run_batch_steps` included), so
+      threads sharing one runner take turns: its workspaces and its pool
+      serve one sweep at a time;
+    * workspaces — per executor, an LRU of :attr:`MAX_WORKSPACES` grid
+      shapes, held in a :class:`weakref.WeakKeyDictionary`: a plan's
+      scratch goes when the plan goes, so nothing has to be released;
+    * the :class:`~repro.sptc.macpool.MacThreadPool` — created lazily on
+      the first parallel stage and stopped by :meth:`close`.  A closed
+      runner that sweeps again starts a new pool.
+
+    Runners never cross a process boundary: a process builds its own.
+    """
+
+    #: workspaces kept per executor (distinct grid shapes)
+    MAX_WORKSPACES = 8
+
+    def __init__(self, threads: Optional[int] = None) -> None:
+        self.threads = resolve_mac_threads(threads)
+        self.lock = threading.Lock()
+        # guards the arena bookkeeping against the stats reader; buffer
+        # contents are covered by `lock`
+        self._arena_lock = threading.Lock()
+        #: executor -> OrderedDict(shape -> workspace), LRU order
+        self._arenas: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self._workspace_builds = 0
+        self._pool: Optional[MacThreadPool] = None
+
+    def pool(self) -> MacThreadPool:
+        """The persistent MAC pool, (re)created lazily.
+
+        A pool object that crossed a ``fork`` is dropped without joining
+        — its helper threads do not exist in the child and its condition
+        variable may have been captured mid-acquire — and a fresh pool is
+        built under the child's pid.  Only a same-pid stale pool (e.g.
+        one an earlier close shut down) is shut down before replacement.
+        """
+        pool = self._pool
+        if pool is not None and pool.pid == os.getpid() and not pool.closed:
+            return pool
+        if pool is not None and pool.pid == os.getpid():
+            pool.shutdown()
+        pool = MacThreadPool(self.threads)
+        self._pool = pool
+        return pool
+
+    def map_tasks(
+        self, fn: Callable[..., None], tasks: Sequence[tuple]
+    ) -> None:
+        """Run order-free tasks on the MAC pool (or inline when serial).
+
+        The executor gives the pad, gather and add stages the same
+        disjoint-slice treatment as the MAC's column blocks — tasks must
+        write to disjoint destinations.
+        """
+        if self.threads > 1 and len(tasks) > 1:
+            self.pool().run(fn, tasks)
+        else:
+            for task in tasks:
+                fn(*task)
+
+    def workspace(
+        self, ex: "SpiderExecutor", batch: int, shape: Tuple[int, ...]
+    ) -> _PlanWorkspace:
+        """Fetch (or build/grow) ``ex``'s arena for one grid shape.
+
+        Keyed by shape alone: a workspace built for batch ``B`` serves
+        every batch ``<= B`` through prefix views, and grows (one rebuild)
+        when a larger batch arrives — so mixed coalesced batch sizes reuse
+        one arena instead of thrashing the LRU.
+        """
+        with self._arena_lock:
+            arena = self._arenas.get(ex)
+            if arena is None:
+                arena = self._arenas[ex] = OrderedDict()
+            ws = arena.get(shape)
+            if ws is None or ws.batch < batch:
+                ws = arena[shape] = ex._new_workspace(batch, shape)
+                self._workspace_builds += 1
+                while len(arena) > self.MAX_WORKSPACES:
+                    arena.popitem(last=False)
+            arena.move_to_end(shape)
+            return ws
+
+    def workspace_nbytes(self) -> int:
+        """Resident bytes of every workspace this runner holds.
+
+        Safe to call from a monitoring thread while the owner sweeps.
+        """
+        with self._arena_lock:
+            arenas = list(self._arenas.values())
+            return int(
+                sum(ws.nbytes() for arena in arenas for ws in arena.values())
+            )
+
+    def close(self) -> None:
+        """Stop the MAC pool's helper threads (idempotent).
+
+        Waits for a batch in flight on another thread.  A pool inherited
+        from another process is dropped, never joined.
+        """
+        with self.lock:
+            pool, self._pool = self._pool, None
+        if pool is not None and pool.pid == os.getpid():
+            pool.shutdown()
+
+
+_DEFAULT_RUNNER: Optional[SweepRunner] = None
+_DEFAULT_RUNNER_LOCK = threading.Lock()
+
+
+def default_runner() -> SweepRunner:
+    """The process-wide runner of sweeps that name none (``Spider.run``).
+
+    Created on first use with the adaptive thread count.  Its callers
+    take turns on its lock; a caller that sweeps concurrently with
+    others passes a runner of its own.
+    """
+    global _DEFAULT_RUNNER
+    with _DEFAULT_RUNNER_LOCK:
+        if _DEFAULT_RUNNER is None:
+            _DEFAULT_RUNNER = SweepRunner()
+        return _DEFAULT_RUNNER
+
+
 class SpiderExecutor:
     """Compiled SPIDER pipeline for one stencil spec.
 
@@ -279,18 +422,13 @@ class SpiderExecutor:
         Line-block granularity of the fused pipeline (and of the per-row
         reference path's X construction), to bound peak workspace memory
         on large grids.
-    mac_threads / mac_col_block:
-        Ordered-MAC parallelism plan parameters, forwarded to the fused
-        operator (see :class:`~repro.sptc.fused.FusedStencilOperator`):
-        thread count (``None`` = adaptive — ``REPRO_MAC_THREADS`` or the
-        usable core count) and column-block width.  Bit-identical output
-        for every setting; carried through pickling as the *requested*
-        values so a rehydrated executor re-resolves in its own
-        environment.
-    """
 
-    #: workspaces kept per executor (distinct (batch, shape) geometries)
-    MAX_WORKSPACES = 8
+    An executor holds only its compiled operands and geometry.  The
+    sweep entry points take a ``runner`` (:class:`SweepRunner`, default
+    :func:`default_runner`) that owns the workspaces, the MAC pool and
+    the thread count, so one executor serves any number of threads that
+    bring runners of their own.
+    """
 
     #: per-grid padded-element floor below which batch padding stays
     #: serial (a small pad loop is cheaper than pool dispatch)
@@ -308,8 +446,6 @@ class SpiderExecutor:
         *,
         use_sptc: bool = True,
         batch_rows: int = 512,
-        mac_threads: Optional[int] = None,
-        mac_col_block: Optional[int] = None,
     ) -> None:
         self.spec = spec
         self.precision = MmaPrecision.validate(precision)
@@ -317,8 +453,6 @@ class SpiderExecutor:
         self.batch_rows = int(batch_rows)
         if self.batch_rows < 1:
             raise ValueError("batch_rows must be >= 1")
-        self.mac_threads = mac_threads
-        self.mac_col_block = mac_col_block
         self.stream = InstructionStream()
 
         rows, self._lead_radius = _kernel_row_table(spec)
@@ -337,29 +471,15 @@ class SpiderExecutor:
             self._encoded,
             self.precision,
             use_sptc=use_sptc,
-            mac_threads=mac_threads,
-            mac_col_block=mac_col_block,
         )
         self._lead_offset_table: Tuple[Tuple[int, ...], ...] = tuple(
             self._lead_offsets(q) for q in range(self.n_rows)
         )
-        # _ws_lock guards the arena *bookkeeping* (dict mutation vs. the
-        # stats reader).  Buffer contents and the MAC pool are
-        # single-caller, and _run_lock enforces it: every batch entry
-        # point holds it for its whole body, so threads sharing one plan
-        # (sync-path callers, solver sessions, a process-wide executor)
-        # take turns instead of overwriting each other's workspace
-        self._ws_lock = threading.Lock()
-        self._run_lock = threading.Lock()
-        self._workspaces: "OrderedDict[Tuple, _PlanWorkspace]" = OrderedDict()
-        self._workspace_builds = 0
 
     def __reduce__(self):
-        """Pickle as a recompile recipe (the executor holds locks, an
-        instruction stream and a workspace arena — none of which should
-        cross a process boundary).  Compilation is deterministic, so the
-        rebuilt executor's encoded rows and fused operand are bit-identical
-        to the original's; its arena starts empty and refills on first use.
+        """Pickle as a recompile recipe rather than arrays.  Compilation
+        is deterministic, so the rebuilt executor's encoded rows and fused
+        operand are bit-identical to the original's.
         """
         return (
             _rebuild_executor,
@@ -368,8 +488,6 @@ class SpiderExecutor:
                 self.precision,
                 self.use_sptc,
                 self.batch_rows,
-                self.mac_threads,
-                self.mac_col_block,
             ),
         )
 
@@ -386,37 +504,19 @@ class SpiderExecutor:
         """Accumulator/output dtype: float64 exact, float32 under fp16."""
         return self._fused.acc_dtype
 
-    def workspace_nbytes(self) -> int:
-        """Resident bytes of the plan-owned arena + fused operand.
-
-        Safe to call from a monitoring thread while the owning worker is
-        serving (the arena lock covers the bookkeeping).
-        """
-        with self._ws_lock:
-            ws = sum(w.nbytes() for w in self._workspaces.values())
-        return int(ws + self._fused.nbytes())
-
-    def release_mac_pool(self) -> None:
-        """Shut down the fused operator's MAC pool threads (idempotent).
-
-        The serving plan cache calls this on eviction and close so a
-        dropped plan never leaves parked helper threads behind; the pool
-        re-creates lazily if the plan executes again.  It waits for an
-        in-flight batch on another thread: a pool shut down mid-``run``
-        would leave that caller waiting on helpers that already exited.
-        """
-        with self._run_lock:
-            self._fused.shutdown_pool()
-
-    def run(self, grid: Grid) -> np.ndarray:
+    def run(
+        self, grid: Grid, runner: Optional[SweepRunner] = None
+    ) -> np.ndarray:
         """One stencil sweep; returns the updated interior.
 
         A batch-of-one :meth:`run_batch` (the fused pipeline is the single
         implementation; batching a lone grid is bit-neutral).
         """
-        return self.run_batch([grid])[0]
+        return self.run_batch([grid], runner)[0]
 
-    def run_batch(self, grids: Sequence[Grid]) -> np.ndarray:
+    def run_batch(
+        self, grids: Sequence[Grid], runner: Optional[SweepRunner] = None
+    ) -> np.ndarray:
         """Fused sweep over a batch of same-shape grids.
 
         The grids are stacked along a leading batch axis *after* per-grid
@@ -433,18 +533,19 @@ class SpiderExecutor:
         the GEMM, ascending kernel row ``q`` across GEMM blocks), so
         batching never perturbs the numerics.  Under ``fp16`` the result
         is float32, accumulated in float32 throughout (see the module
-        docstring's numerics contract).
+        docstring's numerics contract).  ``runner`` (default
+        :func:`default_runner`) supplies the scratch and the MAC threads.
         """
         grids, shape = self._validate_batch(grids)
         out = np.empty((len(grids),) + shape, dtype=self.acc_dtype)
-        with self._run_lock:
-            self._run_fused(grids, shape, out)
+        self._run_fused(grids, shape, out, runner)
         return out
 
     def run_batch_split(
         self,
         grids: Sequence[Grid],
         out: Optional[List[np.ndarray]] = None,
+        runner: Optional[SweepRunner] = None,
     ) -> List[np.ndarray]:
         """Fused sweep returning one freshly-owned array per request.
 
@@ -461,8 +562,7 @@ class SpiderExecutor:
         """
         grids, shape = self._validate_batch(grids)
         outs = self._check_out(out, len(grids), shape)
-        with self._run_lock:
-            self._run_fused(grids, shape, outs)
+        self._run_fused(grids, shape, outs, runner)
         return outs
 
     def _check_out(
@@ -498,6 +598,7 @@ class SpiderExecutor:
         grids: Sequence[Grid],
         steps: int,
         out: Optional[List[np.ndarray]] = None,
+        runner: Optional[SweepRunner] = None,
     ) -> List[np.ndarray]:
         """``steps`` chained sweeps of a batch — the temporal super-sweep.
 
@@ -526,15 +627,18 @@ class SpiderExecutor:
         all_zero = all(bc is BoundaryCondition.ZERO for bc in bcs)
         pad_mode = "full"
         outs = self._check_out(out, len(grids), shape)
+        runner = runner or default_runner()
         # one hold for the whole chain: the intermediates live in the
         # workspace's padded buffer, which another caller would pad over
-        with self._run_lock:
+        with runner.lock:
             for _ in range(steps - 1):
-                views = self._sweep_sources(sources, shape, None, pad_mode)
+                views = self._sweep_sources(
+                    sources, shape, None, runner, pad_mode
+                )
                 sources = list(zip(views, bcs))
                 if all_zero:
                     pad_mode = "center"
-            self._sweep_sources(sources, shape, outs, pad_mode)
+            self._sweep_sources(sources, shape, outs, runner, pad_mode)
         return outs
 
     # -- fused internals ------------------------------------------------
@@ -557,53 +661,46 @@ class SpiderExecutor:
                 )
         return grids, shape
 
-    def _workspace_for(
+    def _new_workspace(
         self, batch: int, shape: Tuple[int, ...]
     ) -> _PlanWorkspace:
-        """Fetch (or build/grow) the arena for one grid shape.
-
-        Keyed by shape alone: a workspace built for batch ``B`` serves
-        every batch ``<= B`` through prefix views, and grows (one rebuild)
-        when a larger batch arrives — so mixed coalesced batch sizes reuse
-        one arena instead of thrashing the LRU.
-        """
-        with self._ws_lock:
-            ws = self._workspaces.get(shape)
-            if ws is None or ws.batch < batch:
-                ws = _PlanWorkspace(
-                    batch,
-                    shape,
-                    radius=self.spec.radius,
-                    L=self.L,
-                    width=self.width,
-                    n_x_rows=self._fused.n_x_rows,
-                    m_active=self._fused.m_active,
-                    lead_offset_table=self._lead_offset_table,
-                    batch_rows=self.batch_rows,
-                    acc_dtype=self.acc_dtype,
-                    fp16=self.precision == MmaPrecision.FP16,
-                )
-                self._workspaces[shape] = ws
-                self._workspace_builds += 1
-                while len(self._workspaces) > self.MAX_WORKSPACES:
-                    self._workspaces.popitem(last=False)
-            self._workspaces.move_to_end(shape)
-            return ws
+        """A fresh workspace for ``batch`` grids of ``shape`` (the
+        runner's arena calls this on a miss or a larger batch)."""
+        return _PlanWorkspace(
+            batch,
+            shape,
+            radius=self.spec.radius,
+            L=self.L,
+            width=self.width,
+            n_x_rows=self._fused.n_x_rows,
+            m_active=self._fused.m_active,
+            lead_offset_table=self._lead_offset_table,
+            batch_rows=self.batch_rows,
+            acc_dtype=self.acc_dtype,
+            fp16=self.precision == MmaPrecision.FP16,
+        )
 
     def _run_fused(
         self,
         grids: List[Grid],
         shape: Tuple[int, ...],
         dest: Union[np.ndarray, List[np.ndarray]],
+        runner: Optional[SweepRunner],
     ) -> None:
-        """One fused sweep into ``dest`` (a (B, *shape) array or B views)."""
-        self._sweep_sources([(g.data, g.bc) for g in grids], shape, dest)
+        """One fused sweep into ``dest`` (a (B, *shape) array or B views)
+        on ``runner`` (default :func:`default_runner`), under its lock."""
+        runner = runner or default_runner()
+        with runner.lock:
+            self._sweep_sources(
+                [(g.data, g.bc) for g in grids], shape, dest, runner
+            )
 
     def _sweep_sources(
         self,
         sources: Sequence[Tuple[np.ndarray, BoundaryCondition]],
         shape: Tuple[int, ...],
         dest: Union[np.ndarray, List[np.ndarray], None],
+        runner: SweepRunner,
         pad_mode: str = "full",
     ) -> Union[np.ndarray, List[np.ndarray]]:
         """One fused sweep of ``(data, bc)`` sources into ``dest``;
@@ -617,12 +714,13 @@ class SpiderExecutor:
         feeds them to that very pad, whose center write is then a
         self-assignment numpy skips).  ``pad_mode="center"`` rewrites only
         the interior of the padded buffer, relying on halos a previous
-        ZERO-BC sweep already zeroed.
+        ZERO-BC sweep already zeroed.  The caller holds ``runner.lock``.
         """
         B = len(sources)
         hook = _STAGE_HOOK
         emit = hook() if hook is not None else None
-        ws = self._workspace_for(B, shape)
+        ws = runner.workspace(self, B, shape)
+        threads = runner.threads
         op = self._fused
         L = self.L
         chunks = ws.chunks
@@ -655,11 +753,11 @@ class SpiderExecutor:
                 self._pad_into(data, bc, padded_grids[b])
 
         if (
-            op.mac_threads > 1
+            threads > 1
             and B >= 2
             and padded_grids[0].size >= self.PAD_PARALLEL_MIN
         ):
-            op.map_tasks(pad_one, [(b,) for b in range(B)])
+            runner.map_tasks(pad_one, [(b,) for b in range(B)])
         else:
             for b in range(B):
                 pad_one(b)
@@ -696,7 +794,7 @@ class SpiderExecutor:
             # (slicing back to `cells` is a view: the pad sits at the end)
             n_exec = max(cells, 2)
             gather_parallel = (
-                op.mac_threads > 1
+                threads > 1
                 and n_x >= 2
                 and n_x * cells >= self.GATHER_PARALLEL_MIN
             )
@@ -719,9 +817,7 @@ class SpiderExecutor:
                     np.copyto(x3[i], block[:, sh : sh + chunks, t])
 
             if gather_parallel:
-                op.map_tasks(
-                    gather_rows, split_ranges(n_x, 2 * op.mac_threads)
-                )
+                runner.map_tasks(gather_rows, split_ranges(n_x, 2 * threads))
             else:
                 gather_rows(0, n_x)
             if fp16:
@@ -736,7 +832,9 @@ class SpiderExecutor:
                 emit("mac.gather", t_gather, t_gemm - t_gather)
             # the operator emits one mac.gemm span per column block
             # itself (from whichever pool thread ran the block)
-            op.execute(x2, out=y2, stream=self.stream, emit=emit)
+            op.execute(
+                x2, out=y2, stream=self.stream, emit=emit, runner=runner
+            )
             if emit is not None:
                 t_scatter = time.monotonic()
             if coffs:
@@ -758,17 +856,12 @@ class SpiderExecutor:
 
                 # one task per thread: each task's numpy calls are GIL
                 # hand-offs, so fewer, larger slices thread better
-                if (
-                    op.mac_threads > 1
-                    and L * (hi - lo) >= self.GATHER_PARALLEL_MIN
-                ):
-                    op.map_tasks(
+                if threads > 1 and L * (hi - lo) >= self.GATHER_PARALLEL_MIN:
+                    runner.map_tasks(
                         add_rows,
                         [
                             (lo + e0, lo + e1)
-                            for e0, e1 in split_ranges(
-                                hi - lo, op.mac_threads
-                            )
+                            for e0, e1 in split_ranges(hi - lo, threads)
                         ],
                     )
                 elif hi > lo:

@@ -118,7 +118,9 @@ class PlanRecipe:
     ``to_dict()`` is JSON-compatible (strings, ints, floats, lists), so
     recipes can also be logged, diffed or sent over non-pickle transports.
     A recipe always describes a single-sweep plan; multi-sweep serving
-    chains sweeps through it.
+    chains sweeps through it.  It carries no thread count: threads and
+    scratch belong to whoever runs the plan (a
+    :class:`~repro.core.executor.SweepRunner`), never to the plan.
     """
 
     spec: StencilSpec
@@ -126,13 +128,6 @@ class PlanRecipe:
     variant: SpiderVariant
     device: DeviceSpec
     grid_shape: Optional[Tuple[int, ...]] = None
-    #: ordered-MAC parallelism plan parameters (``None`` = adaptive /
-    #: operator default).  Deliberately the *requested* values, so a
-    #: recipe rehydrated in another process re-resolves the adaptive
-    #: default against that process's budget; either way the built plan's
-    #: numerics are thread-count-invariant.
-    mac_threads: Optional[int] = None
-    mac_col_block: Optional[int] = None
 
     def to_dict(self) -> dict:
         return {
@@ -143,33 +138,18 @@ class PlanRecipe:
             "grid_shape": (
                 None if self.grid_shape is None else list(self.grid_shape)
             ),
-            "mac_threads": (
-                None if self.mac_threads is None else int(self.mac_threads)
-            ),
-            "mac_col_block": (
-                None
-                if self.mac_col_block is None
-                else int(self.mac_col_block)
-            ),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "PlanRecipe":
-        """Inverse of :meth:`to_dict`; tolerates legacy dicts without the
-        MAC parallelism keys."""
+        """Inverse of :meth:`to_dict`."""
         shape = data.get("grid_shape")
-        mac_threads = data.get("mac_threads")
-        mac_col_block = data.get("mac_col_block")
         return cls(
             spec=StencilSpec.from_dict(data["spec"]),
             precision=MmaPrecision.validate(data["precision"]),
             variant=SpiderVariant(data["variant"]),
             device=DeviceSpec.from_dict(data["device"]),
             grid_shape=None if shape is None else tuple(int(s) for s in shape),
-            mac_threads=None if mac_threads is None else int(mac_threads),
-            mac_col_block=(
-                None if mac_col_block is None else int(mac_col_block)
-            ),
         )
 
     def build(self) -> "CompilePlan":
@@ -180,18 +160,12 @@ class PlanRecipe:
             variant=self.variant,
             device=self.device,
             grid_shape=self.grid_shape,
-            mac_threads=self.mac_threads,
-            mac_col_block=self.mac_col_block,
         )
 
 
 def _rebuild_plan_from_recipe(recipe_dict: dict) -> "CompilePlan":
-    """Unpickle hook for :class:`CompilePlan` (module-level for pickle).
-
-    Recompiles the whole plan from its pure-data recipe; the rebuilt
-    executor starts with an empty workspace arena, so workspaces are
-    re-established lazily on the plan's first served request.
-    """
+    """Unpickle hook for :class:`CompilePlan` (module-level for pickle):
+    recompiles the whole plan from its pure-data recipe."""
     return PlanRecipe.from_dict(recipe_dict).build()
 
 
@@ -206,11 +180,11 @@ class CompilePlan:
     the :class:`TilePlan`.  Compilation is O(1) in the problem size (§4.2),
     so one plan amortizes across arbitrarily many requests.
 
-    Plans also **own their runtime workspaces**: the executor keeps a
-    small arena of preallocated buffers per served ``(batch, shape)``
-    geometry, so steady-state serving through a cached plan performs zero
-    large allocations.  :meth:`workspace_nbytes` is what the serving
-    cache's byte accounting reads.
+    A plan is immutable compiled data: it holds no workspace, thread pool
+    or lock, so threads share it freely.  Sweeps write into the scratch
+    of the caller's :class:`~repro.core.executor.SweepRunner`.
+    :meth:`nbytes` (the operand) is what the serving cache's byte
+    accounting reads per plan.
     """
 
     spec: StencilSpec
@@ -233,9 +207,9 @@ class CompilePlan:
         """The precompiled fused block operator (all kernel rows stacked)."""
         return self.executor.fused_operator
 
-    def workspace_nbytes(self) -> int:
-        """Resident bytes of the plan's operand + workspace arena."""
-        return self.executor.workspace_nbytes()
+    def nbytes(self) -> int:
+        """Resident bytes of the plan's precompiled fused operand."""
+        return self.executor.fused_operator.nbytes()
 
     # ------------------------------------------------------------------
     def recipe(self) -> PlanRecipe:
@@ -248,20 +222,16 @@ class CompilePlan:
             grid_shape=(
                 None if self.tile_plan is None else self.tile_plan.grid_shape
             ),
-            mac_threads=self.executor.mac_threads,
-            mac_col_block=self.executor.mac_col_block,
         )
 
     def __reduce__(self):
         """Pickle as recipe-plus-recompile, not as arrays.
 
-        A plan's compiled artifacts (encoded rows, the fused operand, the
-        workspace arena) are all deterministic functions of its recipe, so
-        shipping the recipe and recompiling on load is both far smaller
-        and guaranteed identical — the recipe round-trip test asserts the
-        rehydrated executor's fused output is bit-identical.  Workspaces
-        are not carried at all: the rebuilt executor's arena refills on
-        first use.
+        A plan's compiled artifacts (encoded rows, the fused operand) are
+        deterministic functions of its recipe, so shipping the recipe and
+        recompiling on load is both far smaller and guaranteed identical
+        — the recipe round-trip test asserts the rehydrated executor's
+        fused output is bit-identical.
         """
         return (_rebuild_plan_from_recipe, (self.recipe().to_dict(),))
 
@@ -272,8 +242,6 @@ def build_compile_plan(
     variant: SpiderVariant = SpiderVariant.SPTC_CO,
     device: DeviceSpec = A100_80GB_PCIE,
     grid_shape: Optional[Tuple[int, ...]] = None,
-    mac_threads: Optional[int] = None,
-    mac_col_block: Optional[int] = None,
 ) -> CompilePlan:
     """Run the whole AOT pipeline once and bundle the artifacts.
 
@@ -281,17 +249,12 @@ def build_compile_plan(
     cache go through, so a cached plan is byte-for-byte the same object a
     fresh ``Spider(spec)`` would have built.  ``grid_shape`` additionally
     binds a tile plan (1D/2D grids only; 3D executors tile per-request).
-    ``mac_threads`` / ``mac_col_block`` configure the ordered MAC's
-    column-block parallelism (bit-identical output for every setting; the
-    serving layer passes per-shard thread budgets through here).
     """
     precision = MmaPrecision.validate(precision)
     executor = SpiderExecutor(
         spec,
         precision,
         use_sptc=variant is not SpiderVariant.TC,
-        mac_threads=mac_threads,
-        mac_col_block=mac_col_block,
     )
     tile_plan: Optional[TilePlan] = None
     if grid_shape is not None and len(grid_shape) <= 2:
@@ -389,7 +352,8 @@ class Spider:
 
     # ------------------------------------------------------------------
     def run(self, grid: Grid) -> np.ndarray:
-        """One stencil sweep (functional, emulated SpTC datapath)."""
+        """One stencil sweep (functional, emulated SpTC datapath), on the
+        process-wide :func:`~repro.core.executor.default_runner`."""
         return self._executor.run(grid)
 
     def run_faithful(self, grid: Grid, **kwargs) -> FaithfulRunReport:

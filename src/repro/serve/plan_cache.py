@@ -24,6 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
+from ..core.executor import SweepRunner
 from ..core.pipeline import CompilePlan, SpiderVariant, build_compile_plan
 from ..gpu.device import A100_80GB_PCIE, DeviceSpec
 from ..sptc.mma import MmaPrecision
@@ -147,12 +148,12 @@ def plan_key_for(
 class CacheStats:
     """Counter snapshot of one :class:`PlanCache` (or an aggregate).
 
-    ``workspace_bytes`` accounts for what a resident plan actually pins
-    beyond its compiled artifacts: the fused operator's precompiled
-    operand plus the executor's plan-owned workspace arena (padded-input
-    buffer, X/Y staging, output accumulator per served geometry).  Plans
-    carry workspaces since the fused fast path, so cache sizing decisions
-    should look at bytes, not just entry counts.
+    ``workspace_bytes`` is the resident memory of a shard's serving
+    state: every resident plan's precompiled fused operand plus the
+    scratch of the shard's :class:`~repro.core.executor.SweepRunner`
+    (padded-input buffer, X/Y staging, output accumulator per served
+    plan and geometry), so cache sizing decisions can look at bytes, not
+    just entry counts.
 
     ``slab_bytes`` is the shard's share of parent-owned shared-memory
     transport slabs (task + result, see :mod:`repro.serve.shm`) — zero for
@@ -206,36 +207,23 @@ class PlanCache:
         evicted on overflow (both hits and inserts refresh recency).
     device:
         Default machine model handed to the plan builder.
-    mac_threads, mac_col_block:
-        Ordered-MAC parallelism plan parameters handed to every plan this
-        cache compiles (requested values — ``None`` means resolve
-        adaptively at build time).  Plans own persistent MAC thread pools,
-        so every path that drops a plan (LRU overflow, :meth:`clear`)
-        shuts the evicted plan's pool down first; a cached plan must never
-        leak parked threads.
 
-    Each resident plan's executor bounds its own workspace arena to
-    :attr:`~repro.core.executor.SpiderExecutor.MAX_WORKSPACES` grid
-    shapes, so entry-count eviction bounds the cache's resident bytes.
+    Plans are immutable compiled data (no threads, no scratch), so
+    eviction and :meth:`clear` simply drop them, even while a caller
+    still runs one.  A runner keeps its scratch per plan weakly, to at
+    most :attr:`~repro.core.executor.SweepRunner.MAX_WORKSPACES` grid
+    shapes, so that scratch goes with the last reference to the plan.
     """
 
     def __init__(
         self,
         capacity: int = 64,
         device: DeviceSpec = A100_80GB_PCIE,
-        mac_threads: Optional[int] = None,
-        mac_col_block: Optional[int] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.device = device
-        self.mac_threads = (
-            None if mac_threads is None else int(mac_threads)
-        )
-        self.mac_col_block = (
-            None if mac_col_block is None else int(mac_col_block)
-        )
         self._entries: "OrderedDict[PlanKey, CompilePlan]" = OrderedDict()
         self._lock = threading.RLock()
         self._hits = 0
@@ -289,21 +277,8 @@ class PlanCache:
             self._entries[key] = plan
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
-                _, evicted = self._entries.popitem(last=False)
-                evicted.executor.release_mac_pool()
+                self._entries.popitem(last=False)
                 self._evictions += 1
-
-    def release_pools(self) -> None:
-        """Shut down every resident plan's MAC thread pool.
-
-        Plans stay resident (compiled artifacts and stats are untouched);
-        pools re-create lazily if a plan executes again.  The worker pool
-        calls this on close so a closed service leaves no parked
-        ``repro-mac`` threads behind while its stats remain queryable.
-        """
-        with self._lock:
-            for p in self._entries.values():
-                p.executor.release_mac_pool()
 
     def get_or_build(self, key: PlanKey, *, spec: StencilSpec) -> CompilePlan:
         """Return the plan for ``key``, compiling it on first use.
@@ -330,8 +305,6 @@ class PlanCache:
                     variant=SpiderVariant(key.variant),
                     device=self.device,
                     grid_shape=key.tile_key or None,
-                    mac_threads=self.mac_threads,
-                    mac_col_block=self.mac_col_block,
                 )
             if self._compiles_counter is not None:
                 self._compiles_counter.inc()
@@ -340,7 +313,10 @@ class PlanCache:
             return built
 
     # ------------------------------------------------------------------
-    def stats(self) -> CacheStats:
+    def stats(self, runner: Optional[SweepRunner] = None) -> CacheStats:
+        """Counter snapshot; ``workspace_bytes`` adds the scratch of
+        ``runner``, the runner that serves this cache's plans."""
+        scratch = 0 if runner is None else runner.workspace_nbytes()
         with self._lock:
             return CacheStats(
                 hits=self._hits,
@@ -348,15 +324,11 @@ class PlanCache:
                 evictions=self._evictions,
                 size=len(self._entries),
                 capacity=self.capacity,
-                workspace_bytes=sum(
-                    p.executor.workspace_nbytes()
-                    for p in self._entries.values()
-                ),
+                workspace_bytes=scratch
+                + sum(p.nbytes() for p in self._entries.values()),
             )
 
     def clear(self) -> None:
-        """Drop all plans (counters are kept; MAC pools are shut down)."""
+        """Drop all plans (counters are kept)."""
         with self._lock:
-            for p in self._entries.values():
-                p.executor.release_mac_pool()
             self._entries.clear()

@@ -30,6 +30,7 @@ from typing import Deque, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.executor import SweepRunner
 from ..core.pipeline import SpiderVariant
 from ..gpu.device import A100_80GB_PCIE, DeviceSpec
 from ..sptc.macpool import resolve_mac_threads
@@ -108,18 +109,17 @@ class StencilService:
         plan_compile/mac → unpack → resolve, across process boundaries;
         harvest with :meth:`trace_spans` / :meth:`export_trace`.
     mac_threads:
-        Per-shard ordered-MAC thread budget.  ``None`` (default) resolves
-        adaptively — ``REPRO_MAC_THREADS`` or ``cpu_count // workers``,
-        so N shards never oversubscribe the machine; the sync fallback
-        gets the whole machine.  Solve sessions run their plans with the
-        same budget.  Results are bit-identical for every
-        value (column blocks have independent per-element reductions);
-        the effective count is exposed as :attr:`mac_threads`, as a
-        ``repro_serve_mac_threads`` gauge, and in the service report.
-    mac_col_block:
-        Ordered-MAC column-block width plan parameter (``None`` = the
-        operator default, see
-        :class:`~repro.sptc.fused.FusedStencilOperator`).
+        Ordered-MAC threads of each :class:`~repro.core.executor.SweepRunner`
+        the service runs sweeps on: one per worker shard, one for the
+        synchronous path, and one per solve session.  ``None`` (default)
+        resolves adaptively — ``REPRO_MAC_THREADS`` or
+        ``cpu_count // workers``, so N shards never oversubscribe the
+        machine; the sync fallback gets the whole machine.  Results are
+        bit-identical for every value (column blocks have independent
+        per-element reductions); the effective count is exposed as
+        :attr:`mac_threads`, as a ``repro_serve_mac_threads`` gauge, and
+        in the service report.  Every runner's threads stop with its
+        owner: the shard's pool, the session, or :meth:`close`.
     retry_policy:
         The self-healing budget knobs (:class:`repro.serve.workers.RetryPolicy`):
         per-request retry budget, worker restart budget and backoff, slab
@@ -154,7 +154,6 @@ class StencilService:
         transport: str = "shm",
         trace: bool = False,
         mac_threads: Optional[int] = None,
-        mac_col_block: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         default_deadline_s: Optional[float] = None,
         faults: Union[FaultPlan, dict, str, None] = None,
@@ -216,7 +215,6 @@ class StencilService:
                 tracer=self.tracer,
                 metrics=self.metrics,
                 mac_threads=mac_threads,
-                mac_col_block=mac_col_block,
                 retry_policy=self._policy,
                 faults=fault_plan,
             )
@@ -229,17 +227,12 @@ class StencilService:
             # its adaptive budget is the whole machine (shards=1)
             self.mac_threads = resolve_mac_threads(mac_threads, 1)
         # the service's own plans: the sync path's requests and every
-        # solve session (on any backend) run here, in this process
-        self._local_cache = PlanCache(
-            capacity=cache_capacity,
-            device=device,
-            mac_threads=self.mac_threads,
-            mac_col_block=mac_col_block,
-        )
+        # solve session (on any backend) run here, in this process.  Sync
+        # callers share one runner and take turns on its lock; each solve
+        # session brings its own
+        self._local_cache = PlanCache(capacity=cache_capacity, device=device)
         self._local_cache.bind_metrics(self.metrics)
-        self._solve_executor = PlanExecutor(
-            self._local_cache, precision=self.precision, variant=self.variant
-        )
+        self._sync_runner = SweepRunner(self.mac_threads)
         self.metrics.gauge(
             "repro_serve_mac_threads",
             "Effective ordered-MAC threads per worker shard.",
@@ -374,6 +367,7 @@ class StencilService:
         run_batch(
             [req],
             self._local_cache,
+            runner=self._sync_runner,
             telemetry=self._telemetry,
             tracer=self.tracer,
             track="sync",
@@ -406,8 +400,9 @@ class StencilService:
         ``spec`` is the stencil operator ``A`` (zero Dirichlet
         boundaries), ``rhs`` the right-hand side ``f``.  The session runs
         :func:`repro.stencil.multigrid.solve` once, on its own thread,
-        through a :class:`~repro.stencil.solvers.PlanExecutor` over the
-        service's own plan cache — a V-cycle (``cycle="v"``) or a smoother
+        through a :class:`~repro.stencil.solvers.PlanExecutor` of its own
+        (its own scratch and MAC threads) over the service's own plan
+        cache — a V-cycle (``cycle="v"``) or a smoother
         chain (``"jacobi"`` / ``"rb"``) whose operator applications never
         cross the request queue or a worker, on every backend.  Residual
         norms are computed after every iteration and the session exits as
@@ -496,8 +491,10 @@ class StencilService:
     ) -> None:
         """Session driver (one daemon thread per in-flight solve).
 
-        Runs :func:`multigrid.solve` once over the service's plan cache.
-        After every iteration ``on_iteration`` records progress, telemetry
+        Runs :func:`multigrid.solve` once over the service's plan cache,
+        through a session-owned :class:`PlanExecutor` whose runner (and
+        its MAC threads) closes when the session ends.  After every
+        iteration ``on_iteration`` records progress, telemetry
         and the ``solver_iteration`` span, then stops the solve if the
         service has closed or the deadline has passed.  A traced session
         runs inside its own batch context, so the plan compiles and
@@ -544,12 +541,18 @@ class StencilService:
             if trace_ids is None
             else batch_context(self.tracer, trace_ids[0], trace_ids[1], track)
         )
+        executor = PlanExecutor(
+            self._local_cache,
+            precision=self.precision,
+            variant=self.variant,
+            mac_threads=self.mac_threads,
+        )
         try:
-            with traced:
+            with traced, executor:
                 result = multigrid.solve(
                     spec,
                     rhs,
-                    executor=self._solve_executor,
+                    executor=executor,
                     on_iteration=on_iteration,
                     **opts,
                 )
@@ -606,7 +609,7 @@ class StencilService:
     def stats(self) -> ServiceStats:
         """Aggregate telemetry + plan-cache counters across all shards
         (``cache`` also counts the service's own cache, where solves run)."""
-        local = (self._local_cache.stats(),)
+        local = (self._local_cache.stats(self._sync_runner),)
         if self._pool is None:
             per_worker = caches = local
         else:
@@ -662,13 +665,13 @@ class StencilService:
             solves = list(self._solves)
         if self._pool is not None:
             self._pool.close(join=True)
-        # a session still running would re-create its plans' MAC pools
-        # after the release below, and nothing would shut them down
+        # no session thread outlives the service; each closes its own
+        # runner on the way out
         for handle in solves:
             handle.wait()
         # plans (and their stats) stay resident; parked MAC helper
         # threads do not outlive the service
-        self._local_cache.release_pools()
+        self._sync_runner.close()
 
     def __enter__(self) -> "StencilService":
         return self

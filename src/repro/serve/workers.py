@@ -89,6 +89,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.executor import SweepRunner
 from ..gpu.device import A100_80GB_PCIE, DeviceSpec
 from ..sptc.macpool import resolve_mac_threads
 from ..sptc.mma import MmaPrecision
@@ -264,24 +265,25 @@ def execute_serve_batch(
     spec: StencilSpec,
     grids: List[Grid],
     out: Optional[List[np.ndarray]] = None,
+    runner: Optional[SweepRunner] = None,
 ) -> List[np.ndarray]:
     """Serve one coalesced batch through a plan cache (all backends).
 
     This is the single execution path shared by thread-backend workers,
     process-backend worker mains and the synchronous fallback: resolve
     the plain plan for ``key``, run one fused sweep over the batch — or
-    ``key.steps`` chained sweeps when ``key.steps > 1`` — and return one
-    freshly-owned result array per grid.  ``out`` redirects the per-grid
-    results into caller-supplied destination arrays (the shm transport's
-    slab-backed views) instead of fresh allocations; numerics are
-    unaffected.
+    ``key.steps`` chained sweeps when ``key.steps > 1`` — on the caller's
+    ``runner``, and return one freshly-owned result array per grid.
+    ``out`` redirects the per-grid results into caller-supplied
+    destination arrays (the shm transport's slab-backed views) instead of
+    fresh allocations; numerics are unaffected.
     """
     plan = cache.get_or_build(key.base(), spec=spec)
     if key.steps == 1:
         with stage_span("mac", args={"batch": len(grids)}):
-            return plan.executor.run_batch_split(grids, out=out)
+            return plan.executor.run_batch_split(grids, out, runner)
     with stage_span("temporal_chain", args={"steps": key.steps}):
-        return plan.executor.run_batch_steps(grids, key.steps, out=out)
+        return plan.executor.run_batch_steps(grids, key.steps, out, runner)
 
 
 # ----------------------------------------------------------------------
@@ -442,6 +444,7 @@ def run_batch(
     batch: Sequence[ServeRequest],
     cache: PlanCache,
     *,
+    runner: Optional[SweepRunner] = None,
     telemetry: Optional[ServiceTelemetry] = None,
     tracer: Optional[SpanRecorder] = None,
     track: str = "inline",
@@ -454,10 +457,10 @@ def run_batch(
     Thread shards, the inline rung and the synchronous path all serve
     through here: drop completed requests and expire overdue ones,
     record the ``coalesce`` span, fire an armed ``fail_batch`` fault for
-    ``shard``, execute through :func:`execute_serve_batch` and complete
-    the batch.  A transient failure goes through the retry funnel to
-    ``place``; without ``place``, or for any other failure, the batch
-    fails.  Returns True once the batch resolved.
+    ``shard``, execute through :func:`execute_serve_batch` on ``runner``
+    and complete the batch.  A transient failure goes through the retry
+    funnel to ``place``; without ``place``, or for any other failure, the
+    batch fails.  Returns True once the batch resolved.
     """
     started = time.monotonic()
     batch = _expire(batch, telemetry, started)
@@ -490,6 +493,7 @@ def run_batch(
                 req0.key,
                 req0.spec,
                 [r.grid for r in batch],
+                runner=runner,
             )
     except Exception as exc:
         if place is not None and is_transient_failure(exc):
@@ -609,7 +613,6 @@ def _process_worker_main(
     cache_capacity: int,
     device_dict: dict,
     mac_threads: Optional[int] = None,
-    mac_col_block: Optional[int] = None,
 ) -> None:
     """Worker-process shard loop (module-level so every mp start method —
     fork *and* spawn — can import it).
@@ -635,18 +638,13 @@ def _process_worker_main(
 
     ``mac_threads`` is this shard's pre-resolved ordered-MAC thread
     budget (the parent divides the machine across shards so N worker
-    processes never oversubscribe cores); every plan this worker's cache
-    compiles carries it.  Pools are created lazily in *this* process —
-    a forked child never inherits parent pool threads (see
-    :mod:`repro.sptc.macpool`).
+    processes never oversubscribe cores).  It sizes the worker's one
+    :class:`~repro.core.executor.SweepRunner`, built here — runners never
+    cross a process boundary — and closed when the loop exits.
     """
     device = DeviceSpec.from_dict(device_dict)
-    cache = PlanCache(
-        capacity=cache_capacity,
-        device=device,
-        mac_threads=mac_threads,
-        mac_col_block=mac_col_block,
-    )
+    cache = PlanCache(capacity=cache_capacity, device=device)
+    runner = SweepRunner(mac_threads)
     attachments = SlabAttachments()
     clock = time.monotonic
     # worker-local span recorder: spans ship back as (name, start
@@ -658,7 +656,7 @@ def _process_worker_main(
         while True:
             msg = task_q.get()
             if msg is None:
-                result_q.put(("exit", worker_id, cache.stats()))
+                result_q.put(("exit", worker_id, cache.stats(runner)))
                 return
             req_ids, key_dict, spec_dict, submitted, payload, trace_on = msg
             tracer.enabled = bool(trace_on)
@@ -676,7 +674,9 @@ def _process_worker_main(
                         # executor materializes results straight into the
                         # result slab (no intermediate arrays,
                         # descriptor-only reply)
-                        execute_serve_batch(cache, key, spec, grids, out=outs)
+                        execute_serve_batch(
+                            cache, key, spec, grids, outs, runner
+                        )
                         results = ("shm",)
                     else:
                         # queue transport, or the slab-cap fallback (grids
@@ -684,7 +684,9 @@ def _process_worker_main(
                         # the pipe as pickled arrays
                         results = (
                             "raw",
-                            execute_serve_batch(cache, key, spec, grids),
+                            execute_serve_batch(
+                                cache, key, spec, grids, runner=runner
+                            ),
                         )
             except Exception as exc:
                 result_q.put(
@@ -695,7 +697,7 @@ def _process_worker_main(
                         submitted,
                         _picklable_exc(exc),
                         clock() - started,
-                        cache.stats(),
+                        cache.stats(runner),
                         _drain_rel_spans(tracer, started, trace_on),
                     )
                 )
@@ -708,7 +710,7 @@ def _process_worker_main(
                     submitted,
                     results,
                     clock() - started,
-                    cache.stats(),
+                    cache.stats(runner),
                     _drain_rel_spans(tracer, started, trace_on),
                 )
             )
@@ -716,6 +718,7 @@ def _process_worker_main(
             # (and may recycle) these blocks once it processes the result
             del grids, outs, results
     finally:
+        runner.close()
         attachments.close()
 
 
@@ -752,17 +755,16 @@ class WorkerPool:
         sprawling across cold pages; only a single batch that cannot fit
         in an empty slab degrades to the pickled queue payload.
     mac_threads:
-        Per-shard ordered-MAC thread budget.  ``None`` (the default)
-        resolves to ``REPRO_MAC_THREADS`` or ``cpu_count // num_workers``
-        — the division that keeps N shards (threads *or* processes, each
-        owning plan-level MAC pools) from oversubscribing the machine.
-        An explicit count is taken as-is, per shard.  Results are
-        bit-identical for every setting; the resolved value is exposed as
-        :attr:`mac_threads`.
-    mac_col_block:
-        Ordered-MAC column-block width plan parameter (``None`` = the
-        operator default; see
-        :class:`~repro.sptc.fused.FusedStencilOperator`).
+        Per-shard ordered-MAC thread budget: the size of each shard's
+        :class:`~repro.core.executor.SweepRunner` (one per thread shard
+        in :attr:`runners`, one inside each worker process) and of the
+        inline rung's runner.  ``None`` (the default) resolves to
+        ``REPRO_MAC_THREADS`` or ``cpu_count // num_workers`` — the
+        division that keeps N shards (threads *or* processes) from
+        oversubscribing the machine.  An explicit count is taken as-is,
+        per shard.  Results are bit-identical for every setting; the
+        resolved value is exposed as :attr:`mac_threads`.  :meth:`close`
+        stops every runner's threads.
     retry_policy:
         The self-healing knobs (:class:`RetryPolicy`); ``None`` means the
         defaults — supervision, retry, degradation and inline fallback
@@ -809,7 +811,6 @@ class WorkerPool:
         tracer: Optional[SpanRecorder] = None,
         metrics: Optional[MetricsRegistry] = None,
         mac_threads: Optional[int] = None,
-        mac_col_block: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
@@ -827,12 +828,9 @@ class WorkerPool:
             )
         self.backend = backend
         self.transport = transport if backend == "process" else "local"
-        #: effective per-shard MAC threads — the explicit value every
-        #: plan compiled by this pool's caches will run with
+        #: effective per-shard MAC threads — the size of every runner
+        #: this pool's shards sweep on
         self.mac_threads = resolve_mac_threads(mac_threads, num_workers)
-        self.mac_col_block = (
-            None if mac_col_block is None else int(mac_col_block)
-        )
         self.telemetry = telemetry
         self.tracer = tracer
         self.metrics = metrics
@@ -846,9 +844,13 @@ class WorkerPool:
         self._device = device
         self._cache_capacity = int(cache_capacity)
         # in-parent execution fallback (terminal rung of the degradation
-        # ladder), built lazily on first use
+        # ladder); its cache is built lazily on first use
         self._parent_cache: Optional[PlanCache] = None
         self._parent_cache_lock = threading.Lock()
+        self._parent_runner = SweepRunner(self.mac_threads)
+        #: one runner per thread shard (empty on the process backend,
+        #: whose workers build their own)
+        self.runners: List[SweepRunner] = []
         self._feeder_busy = self._dispatcher_busy = None
         self._dead_shard_counter = None
         self._slab_gauge = None
@@ -879,13 +881,11 @@ class WorkerPool:
         self._alive: Tuple[int, ...] = tuple(range(num_workers))
         if backend == "thread":
             self.caches: List[PlanCache] = [
-                PlanCache(
-                    capacity=cache_capacity,
-                    device=device,
-                    mac_threads=self.mac_threads,
-                    mac_col_block=self.mac_col_block,
-                )
+                PlanCache(capacity=cache_capacity, device=device)
                 for _ in range(num_workers)
+            ]
+            self.runners = [
+                SweepRunner(self.mac_threads) for _ in range(num_workers)
             ]
             self.workers: List[threading.Thread] = [
                 threading.Thread(
@@ -998,7 +998,6 @@ class WorkerPool:
                     self._cache_capacity,
                     device.to_dict(),
                     self.mac_threads,
-                    self.mac_col_block,
                 ),
                 name=f"spider-serve-proc-{i}",
                 daemon=True,
@@ -1108,6 +1107,7 @@ class WorkerPool:
         return run_batch(
             batch,
             cache,
+            runner=self._parent_runner if inline else self.runners[shard],
             telemetry=self.telemetry,
             tracer=self.tracer,
             track="inline" if inline else f"shard-{shard}",
@@ -1121,7 +1121,7 @@ class WorkerPool:
         slab bytes (``CacheStats.slab_bytes``), so the service report can
         show shared-memory residency next to workspace residency."""
         if self.backend == "thread":
-            return [c.stats() for c in self.caches]
+            return [c.stats(r) for c, r in zip(self.caches, self.runners)]
         with self._pending_lock:
             stats = list(self._shard_stats)
         return [
@@ -1145,7 +1145,8 @@ class WorkerPool:
         dispatcher, so on return every result is resolved and
         ``process.is_alive()`` is False for every worker.  A pending
         respawn is cancelled (the shard tombstones instead): close wins
-        over recovery.
+        over recovery.  Once everything that sweeps has stopped, the
+        shard and inline runners stop their MAC threads.
         """
         if self.backend == "process":
             with self._pending_lock:
@@ -1170,12 +1171,12 @@ class WorkerPool:
         if self.backend == "thread":
             for w in self.workers:
                 w.join()
-            # plans stay resident (stats remain queryable) but their MAC
-            # pools release their parked helper threads — a closed pool
-            # must leave no repro-mac threads behind.  Process shards need
-            # no equivalent: their pools died with the worker processes.
-            for cache in self.caches:
-                cache.release_pools()
+            # plans stay resident (stats remain queryable) but the
+            # runners' parked MAC helpers stop: a closed pool leaves no
+            # repro-mac threads behind.  Process workers close their own.
+            for runner in self.runners:
+                runner.close()
+            self._parent_runner.close()
             self._drop_self_references()
             return
         self._join_feeders()
@@ -1211,6 +1212,7 @@ class WorkerPool:
             if slabs is not None:
                 slabs[0].close()
                 slabs[1].close()
+        self._parent_runner.close()
         self._drop_self_references()
 
     def _drop_self_references(self) -> None:
@@ -1934,7 +1936,6 @@ class WorkerPool:
                 self._cache_capacity,
                 self._device.to_dict(),
                 self.mac_threads,
-                self.mac_col_block,
             ),
             name=f"spider-serve-proc-{i}",
             daemon=True,
@@ -2028,16 +2029,13 @@ class WorkerPool:
         with self._parent_cache_lock:
             if self._parent_cache is None:
                 self._parent_cache = PlanCache(
-                    capacity=self._cache_capacity,
-                    device=self._device,
-                    mac_threads=self.mac_threads,
-                    mac_col_block=self.mac_col_block,
+                    capacity=self._cache_capacity, device=self._device
                 )
             return self._parent_cache
 
     def _run_inline(self, batch: Sequence[ServeRequest]) -> None:
         """Terminal rung: serve a batch in-parent, synchronously, through
-        a lazily built plan cache with the pool's exact knobs, so inline
+        a lazily built plan cache on the pool's inline runner; inline
         results are byte-identical to worker results."""
         if (
             self._run_batch(batch, self._inline_cache(), -1)

@@ -40,17 +40,19 @@ bit-pattern comparison of signed zeros.
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .formats import Sparse24Matrix
 from .instruction import InstructionStream
-from .macpool import MacThreadPool, col_blocks, resolve_mac_threads
+from .macpool import col_blocks
 from .mma import MmaPrecision
 from .mma_sp import MMA_SP_M16N8K16
+
+if TYPE_CHECKING:  # the runner lives one layer up, with the executor
+    from ..core.executor import SweepRunner
 
 __all__ = ["FusedStencilOperator"]
 
@@ -61,22 +63,17 @@ def _rebuild_fused_operator(
     permutation: Optional[np.ndarray],
     dense_rows: Optional[List[np.ndarray]],
     precision: str,
-    mac_threads: Optional[int] = None,
-    mac_col_block: Optional[int] = None,
 ) -> "FusedStencilOperator":
     """Unpickle hook for :class:`FusedStencilOperator` (module-level for
     pickle): re-run the build from the compressed operand, so compaction,
     selection expansion and index tensors are regenerated rather than
-    shipped.  The thread pool is likewise never shipped — the rebuilt
-    operator re-creates it lazily on its first parallel execute."""
+    shipped."""
     return FusedStencilOperator(
         stacked,
         L,
         permutation,
         dense_rows=dense_rows,
         precision=precision,
-        mac_threads=mac_threads,
-        mac_col_block=mac_col_block,
     )
 
 
@@ -102,20 +99,10 @@ class FusedStencilOperator:
     precision:
         ``"exact"`` or ``"fp16"``; the operand is cast once at build time
         (float64, or float16 storage widened to float32 for the MAC).
-    mac_threads:
-        Threads the ordered MAC spreads its column blocks over.  ``None``
-        (the default) resolves adaptively — ``REPRO_MAC_THREADS`` or the
-        usable core count (see
-        :func:`~repro.sptc.macpool.resolve_mac_threads`); the serving
-        layer passes an explicit per-shard budget instead.  Results are
-        bit-identical for every thread count: blocks are disjoint
-        ``out[:, c0:c1]`` slices and einsum's per-element reduction order
-        depends only on the w axis (module docstring).
-    mac_col_block:
-        Column-block width of the MAC (default :data:`COL_BLOCK`).  A
-        plan parameter since the multi-threaded MAC: the serial fast path
-        keeps the cache-resident default, while the threaded path may
-        subdivide further (never below 2 columns) for load balance.
+
+    The operator is immutable compiled data: it holds no thread pool, no
+    scratch and no lock, so any number of threads may execute it at once.
+    Parallelism comes from the caller's runner (see :meth:`execute`).
     """
 
     #: column block of the ordered MAC — sized so one block of operand,
@@ -134,27 +121,8 @@ class FusedStencilOperator:
         *,
         dense_rows: Optional[Sequence[np.ndarray]] = None,
         precision: str = MmaPrecision.EXACT,
-        mac_threads: Optional[int] = None,
-        mac_col_block: Optional[int] = None,
     ) -> None:
         self.precision = MmaPrecision.validate(precision)
-        # requested (possibly None) values are what __reduce__ ships, so a
-        # rehydrated operator re-resolves in *its* environment; resolved
-        # values are what execution reads
-        self._mac_threads_requested = mac_threads
-        self._mac_col_block_requested = mac_col_block
-        self.mac_threads = resolve_mac_threads(mac_threads)
-        self.mac_col_block = (
-            self.COL_BLOCK if mac_col_block is None else int(mac_col_block)
-        )
-        if self.mac_col_block < 2:
-            raise ValueError(
-                f"mac_col_block must be >= 2 (einsum's n = 1 call shape "
-                f"uses a different kernel), got {self.mac_col_block}"
-            )
-        #: lazily-created MAC pool — never pickled, never inherited
-        #: across fork (``_pool()`` checks the owning pid)
-        self._mac_pool: Optional[MacThreadPool] = None
         if L < 1 or stacked.m % L:
             raise ValueError(
                 f"stacked operator rows ({stacked.m}) must be a multiple of "
@@ -246,8 +214,6 @@ class FusedStencilOperator:
                 permutation,
                 dense_rows,
                 self.precision,
-                self._mac_threads_requested,
-                self._mac_col_block_requested,
             ),
         )
 
@@ -294,71 +260,24 @@ class FusedStencilOperator:
             "mma.sp" if self.use_sptc else "mma", shape.name, count=issues
         )
 
-    # ------------------------------------------------------------------
-    # MAC thread pool (plan-owned, lazy, fork-safe, never pickled)
-    # ------------------------------------------------------------------
-    def _pool(self) -> MacThreadPool:
-        """The persistent MAC pool, (re)created lazily.
-
-        A pool object that crossed a ``fork`` is dropped without joining
-        — its helper threads do not exist in the child and its condition
-        variable may have been captured mid-acquire — and a fresh pool is
-        built under the child's pid.  Only a same-pid stale pool (e.g.
-        one an earlier shutdown closed) is shut down before replacement.
-        """
-        pool = self._mac_pool
-        if pool is not None and pool.pid == os.getpid() and not pool.closed:
-            return pool
-        if pool is not None and pool.pid == os.getpid():
-            pool.shutdown()
-        pool = MacThreadPool(self.mac_threads)
-        self._mac_pool = pool
-        return pool
-
-    def shutdown_pool(self) -> None:
-        """Stop the MAC pool's helper threads (idempotent).
-
-        Called by the serving plan cache on eviction and close; the pool
-        re-creates lazily if the operator executes again.  A pool object
-        inherited from another process is dropped, never joined.
-        """
-        pool = self._mac_pool
-        self._mac_pool = None
-        if pool is not None and pool.pid == os.getpid():
-            pool.shutdown()
-
-    def map_tasks(
-        self, fn: Callable[..., None], tasks: Sequence[tuple]
-    ) -> None:
-        """Run order-free tasks on the MAC pool (or inline when serial).
-
-        The executor uses this to give the pad and gather stages the same
-        disjoint-slice treatment as the MAC itself — tasks must write to
-        disjoint destinations.
-        """
-        if self.mac_threads > 1 and len(tasks) > 1:
-            self._pool().run(fn, tasks)
-        else:
-            for task in tasks:
-                fn(*task)
-
-    def _plan_blocks(self, n: int) -> Optional[List[Tuple[int, int]]]:
+    def _plan_blocks(
+        self, n: int, threads: int
+    ) -> Optional[List[Tuple[int, int]]]:
         """Column blocks for a threaded MAC over ``n`` columns, or
         ``None`` for the serial fast path.
 
-        Serial below the column-count threshold (``n < mac_col_block``:
-        tiny grids never pay pool dispatch) and whenever a single block
-        would result.  The threaded path subdivides the plan's block
-        width — never below :data:`MIN_COL_BLOCK`, never below 2 — so
-        every thread has around two blocks to draw, which load-balances
-        without perturbing numerics (blocking is order-free, module
-        docstring).
+        Serial below the column-count threshold (``n < COL_BLOCK``: tiny
+        grids never pay pool dispatch) and whenever a single block would
+        result.  The threaded path subdivides :data:`COL_BLOCK` — never
+        below :data:`MIN_COL_BLOCK`, never below 2 — so every thread has
+        around two blocks to draw, which load-balances without perturbing
+        numerics (blocking is order-free, module docstring).
         """
-        if self.mac_threads < 2 or n < self.mac_col_block:
+        if threads < 2 or n < self.COL_BLOCK:
             return None
         block = min(
-            self.mac_col_block,
-            max(self.MIN_COL_BLOCK, -(-n // (2 * self.mac_threads))),
+            self.COL_BLOCK,
+            max(self.MIN_COL_BLOCK, -(-n // (2 * threads))),
         )
         blocks = col_blocks(n, max(2, block))
         if len(blocks) < 2:
@@ -398,6 +317,7 @@ class FusedStencilOperator:
         out: np.ndarray,
         stream: Optional[InstructionStream] = None,
         emit: Optional[Callable[[str, float, float], None]] = None,
+        runner: Optional["SweepRunner"] = None,
     ) -> np.ndarray:
         """One fused ordered GEMM: ``K_all @ X`` for all active rows.
 
@@ -405,13 +325,14 @@ class FusedStencilOperator:
         swapped row order and cast to the MAC dtype; ``out`` is the
         (``m_active``, n) destination (a workspace buffer).  The product
         is evaluated in column blocks with the strictly ordered einsum
-        kernel (see the module docstring) — serially below the plan's
-        column threshold, otherwise spread over the plan-owned MAC pool
-        as disjoint ``out[:, c0:c1]`` slices; both paths are
-        bit-identical for any thread count and block width >= 2.  A
-        trailing 1-wide remainder block is always merged into its
-        neighbour (:func:`~repro.sptc.macpool.col_blocks`), since n = 1
-        is the one einsum call shape with a different reduction kernel.
+        kernel (see the module docstring) — serially below the column
+        threshold or without a ``runner``, otherwise spread over the
+        runner's MAC pool (:class:`~repro.core.executor.SweepRunner`) as
+        disjoint ``out[:, c0:c1]`` slices; both paths are bit-identical
+        for any thread count and block width >= 2.  A trailing 1-wide
+        remainder block is always merged into its neighbour
+        (:func:`~repro.sptc.macpool.col_blocks`), since n = 1 is the one
+        einsum call shape with a different reduction kernel.
 
         ``emit`` (the executor's tracing stage hook) receives one
         ``mac.gemm`` span per column block, recorded from whichever
@@ -419,12 +340,16 @@ class FusedStencilOperator:
         """
         n = x.shape[1]
         if self.m_active:
-            blocks = self._plan_blocks(n)
+            blocks = (
+                None
+                if runner is None
+                else self._plan_blocks(n, runner.threads)
+            )
             if blocks is None:
-                for c0, c1 in col_blocks(n, self.mac_col_block):
+                for c0, c1 in col_blocks(n, self.COL_BLOCK):
                     self._gemm_block(x, out, c0, c1, emit)
             else:
-                self._pool().run(
+                runner.map_tasks(
                     lambda c0, c1: self._gemm_block(x, out, c0, c1, emit),
                     blocks,
                 )

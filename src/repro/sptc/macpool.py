@@ -19,20 +19,21 @@ task list, wakes them, *participates in the drain itself* (the caller is
 the Nth worker), and returns after a barrier — so total concurrency is
 exactly ``threads`` and an idle pool costs nothing but parked threads.
 
-Lifecycle contract (the serving layer depends on all three):
+Lifecycle contract (the serving layer depends on all three).  A pool's
+one owner is a :class:`~repro.core.executor.SweepRunner`; compiled plans
+never hold one:
 
 * **single caller** — ``run`` is never re-entered concurrently.  The
-  owning :class:`~repro.core.executor.SpiderExecutor` enforces this (and
-  the same invariant for its workspace arena) with a per-executor lock
-  held across each batch call, so threads that share one plan take
-  turns instead of interleaving;
-* **never pickled** — owners exclude the pool from ``__reduce__``; a
-  rehydrated plan re-creates its pool lazily on first parallel execute;
+  runner's ``lock``, held across each batch call, enforces this (and
+  the same invariant for the runner's workspaces), so threads that
+  share one runner take turns instead of interleaving;
+* **never pickled** — runners never cross a process boundary; each
+  process (a worker, a forked child) builds its own;
 * **never inherited across fork** — the pool records its owning
-  :func:`os.getpid`; owners check :attr:`MacThreadPool.pid` before reuse
-  and simply drop (never join) a pool object a forked child inherited,
-  because its threads do not exist in the child and its condition
-  variable may have been captured mid-acquire.
+  :func:`os.getpid`; the runner checks :attr:`MacThreadPool.pid` before
+  reuse and simply drops (never joins) a pool object a forked child
+  inherited, because its threads do not exist in the child and its
+  condition variable may have been captured mid-acquire.
 """
 
 from __future__ import annotations

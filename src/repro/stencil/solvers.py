@@ -62,8 +62,14 @@ class PlanExecutor:
     Parameters mirror the service: ``precision`` / ``variant`` select the
     compile configuration, ``cache`` shares an existing plan cache
     (otherwise a private one is created with ``cache_capacity`` entries).
-    ``mac_threads=1`` keeps the MAC serial — results are bit-identical for
-    every thread count, so this only trades latency for thread hygiene.
+
+    The executor owns a :class:`~repro.core.executor.SweepRunner` with
+    ``mac_threads`` threads (``None`` = adaptive): its scratch and MAC
+    pool, which :meth:`close` stops.  Threads calling one executor take
+    turns on its runner; concurrent solves that should overlap each use
+    their own ``PlanExecutor`` over a shared cache.  ``mac_threads=1``
+    keeps the MAC serial — results are bit-identical for every thread
+    count, so this only trades latency for thread hygiene.
     """
 
     def __init__(
@@ -75,11 +81,11 @@ class PlanExecutor:
         device=None,
         cache_capacity: int = 16,
         mac_threads: Optional[int] = None,
-        mac_col_block: Optional[int] = None,
     ) -> None:
         # imports are local so the stencil layer has no import-time
         # dependency on repro.serve / repro.core (which import back into
         # stencil submodules)
+        from ..core.executor import SweepRunner
         from ..core.pipeline import SpiderVariant
         from ..serve.plan_cache import PlanCache
         from ..sptc.mma import MmaPrecision
@@ -87,15 +93,12 @@ class PlanExecutor:
         self.precision = MmaPrecision.validate(precision)
         self.variant = variant if variant is not None else SpiderVariant.SPTC_CO
         if cache is None:
-            kwargs = dict(
-                capacity=cache_capacity,
-                mac_threads=mac_threads,
-                mac_col_block=mac_col_block,
-            )
+            kwargs = dict(capacity=cache_capacity)
             if device is not None:
                 kwargs["device"] = device
             cache = PlanCache(**kwargs)
         self.cache = cache
+        self.runner = SweepRunner(mac_threads)
 
     def plan_for(self, spec: StencilSpec, grid_shape: Sequence[int]):
         """The cached :class:`~repro.core.pipeline.CompilePlan` this
@@ -119,15 +122,17 @@ class PlanExecutor:
         """One fused pass over same-shape grids (the serve batch path)."""
         grids = list(grids)
         plan = self.plan_for(spec, grids[0].shape)
-        return plan.executor.run_batch_split(grids)
+        return plan.executor.run_batch_split(grids, runner=self.runner)
 
     def stats(self):
-        """Plan-cache counters (hits/misses/evictions/workspace bytes)."""
-        return self.cache.stats()
+        """Plan-cache counters (hits/misses/evictions/workspace bytes,
+        this executor's scratch included)."""
+        return self.cache.stats(self.runner)
 
     def close(self) -> None:
-        """Release plan-owned MAC thread pools (plans stay resident)."""
-        self.cache.release_pools()
+        """Stop the runner's MAC threads (plans stay resident; a later
+        call starts them again)."""
+        self.runner.close()
 
     def __enter__(self) -> "PlanExecutor":
         return self

@@ -1,12 +1,12 @@
 """Fused single-GEMM fast path: bit-identity oracle + workspace arena.
 
 The fused plan (`K_all` stacked at compile time, one windowing pass, one
-ordered GEMM per line block, plan-owned workspaces) must be bit-identical
-to the seed per-row fast path, which is kept verbatim as
-``SpiderExecutor._reference_run``.  These tests sweep the equivalence
-matrix — dims × shape family × radius × precision × batch size, including
-line lengths that are not a multiple of L — and pin the arena's
-zero-allocation steady state.
+ordered GEMM per line block, workspaces owned by the caller's
+``SweepRunner``) must be bit-identical to the seed per-row fast path,
+which is kept verbatim as ``SpiderExecutor._reference_run``.  These tests
+sweep the equivalence matrix — dims × shape family × radius × precision ×
+batch size, including line lengths that are not a multiple of L — and pin
+the arena's zero-allocation steady state.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from repro.core.encoding import (
     encode_kernel_row,
     stack_encoded_rows,
 )
-from repro.core.executor import SpiderExecutor
+from repro.core.executor import SpiderExecutor, SweepRunner
 from repro.core.pipeline import Spider, SpiderVariant, build_compile_plan
 from repro.sptc.formats import Sparse24Matrix
 from repro.stencil import (
@@ -240,15 +240,16 @@ def test_build_fused_operator_validates(rng):
 def test_workspace_reused_across_calls(rng):
     spec = make_box_kernel(2, 2, rng)
     ex = SpiderExecutor(spec)
+    runner = SweepRunner(1)
     grids = [Grid.random((32, 40), rng) for _ in range(3)]
-    ex.run_batch(grids)
-    assert ex._workspace_builds == 1
-    ws = next(iter(ex._workspaces.values()))
+    ex.run_batch(grids, runner)
+    assert runner._workspace_builds == 1
+    ws = next(iter(runner._arenas[ex].values()))
     buffers = (ws.padded, ws.x_flat, ws.y_flat, ws.acc)
     for _ in range(3):
-        ex.run_batch([Grid.random((32, 40), rng) for _ in range(3)])
-    assert ex._workspace_builds == 1  # steady state: no arena rebuilds
-    ws2 = next(iter(ex._workspaces.values()))
+        ex.run_batch([Grid.random((32, 40), rng) for _ in range(3)], runner)
+    assert runner._workspace_builds == 1  # steady state: no arena rebuilds
+    ws2 = next(iter(runner._arenas[ex].values()))
     assert ws2 is ws
     for a, b in zip(buffers, (ws2.padded, ws2.x_flat, ws2.y_flat, ws2.acc)):
         assert a is b  # the same buffers, not reallocations
@@ -260,21 +261,25 @@ def test_workspace_grows_once_for_mixed_batch_sizes(rng):
     bit-identical results."""
     spec = named_stencil("heat2d")
     ex = SpiderExecutor(spec)
+    runner = SweepRunner(1)
     shape = (24, 24)
-    ex.run_batch([Grid.random(shape, rng) for _ in range(4)])
-    builds = ex._workspace_builds
+    ex.run_batch([Grid.random(shape, rng) for _ in range(4)], runner)
+    builds = runner._workspace_builds
     for batch in (1, 3, 2, 4, 1):
         grids = [Grid.random(shape, rng) for _ in range(batch)]
-        assert np.array_equal(ex._reference_run(grids), ex.run_batch(grids))
-    assert ex._workspace_builds == builds
+        assert np.array_equal(
+            ex._reference_run(grids), ex.run_batch(grids, runner)
+        )
+    assert runner._workspace_builds == builds
 
 
 def test_workspace_per_geometry_and_lru_bound(rng):
     spec = make_box_kernel(2, 1, rng)
     ex = SpiderExecutor(spec)
-    for n in range(8, 8 + 2 * (SpiderExecutor.MAX_WORKSPACES + 2), 2):
-        ex.run(Grid.random((n, n), rng))
-    assert len(ex._workspaces) <= SpiderExecutor.MAX_WORKSPACES
+    runner = SweepRunner(1)
+    for n in range(8, 8 + 2 * (SweepRunner.MAX_WORKSPACES + 2), 2):
+        ex.run(Grid.random((n, n), rng), runner)
+    assert len(runner._arenas[ex]) <= SweepRunner.MAX_WORKSPACES
 
 
 def test_workspace_nbytes_reported_through_plan_cache(rng):
@@ -282,12 +287,15 @@ def test_workspace_nbytes_reported_through_plan_cache(rng):
 
     spec = named_stencil("heat2d")
     cache = PlanCache(capacity=4)
+    runner = SweepRunner(1)
     key = plan_key_for(spec)
     plan = cache.get_or_build(key, spec=spec)
-    plan.executor.run(Grid.random((16, 16), rng))
-    stats = cache.stats()
-    assert stats.workspace_bytes > 0
-    assert stats.workspace_bytes == plan.workspace_nbytes()
+    plan.executor.run(Grid.random((16, 16), rng), runner)
+    stats = cache.stats(runner)
+    assert runner.workspace_nbytes() > 0
+    # the plans' operands plus the runner's scratch
+    assert stats.workspace_bytes == plan.nbytes() + runner.workspace_nbytes()
+    assert cache.stats().workspace_bytes == plan.nbytes()
 
 
 def test_run_batch_split_results_own_their_memory(rng):
@@ -379,7 +387,7 @@ def test_compile_plan_exposes_fused_operator(rng):
     spec = named_stencil("heat2d")
     plan = build_compile_plan(spec)
     assert plan.fused_operator is plan.executor.fused_operator
-    assert plan.workspace_nbytes() >= plan.fused_operator.nbytes()
+    assert plan.nbytes() == plan.fused_operator.nbytes() > 0
 
 
 @pytest.mark.parametrize("variant", list(SpiderVariant))

@@ -1,24 +1,30 @@
 """Differential and lifecycle suite for the multi-threaded ordered MAC.
 
 The contract under test: spreading the fused ``K_all @ X`` product over
-column blocks on the plan-owned :class:`~repro.sptc.macpool.MacThreadPool`
+column blocks on a runner's :class:`~repro.sptc.macpool.MacThreadPool`
 is **byte-identical** to the serial MAC for every thread count and block
 width >= 2 — each output element's einsum reduction order is a function
 of the w axis alone, so disjoint ``out[:, c0:c1]`` slices cannot perturb
 it.  The suite pins that identity across dims x precision x boundary
 conditions x steps on the thread, process and sync serving backends,
-plus the pool's lifecycle contract: lazy creation, exclusion from
-pickles, shutdown on plan-cache eviction/release/clear and service
-close, and fork safety.
+plus the lifecycle contract of :class:`~repro.core.executor.SweepRunner`:
+plans hold no threads, pools start lazily and stop with their runner's
+owner, and fork safety.
 
 Small grids take the serial fast path under the default 4096-column
-threshold, so every differential case here pins ``mac_col_block`` low —
-otherwise "threads=4" would silently test the serial loop twice.
+threshold, so the in-process differential cases lower
+``FusedStencilOperator.COL_BLOCK`` (:func:`_small_blocks`) — otherwise
+"threads=4" would silently test the serial loop twice.  Monkeypatching
+does not reach worker processes, so the serving cases use grids that
+cross the default threshold.
 """
 
 import collections
+import contextlib
+import gc
 import os
 import pickle
+import sys
 import threading
 
 import numpy as np
@@ -26,9 +32,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import build_compile_plan
-from repro.core.executor import SpiderExecutor
+from repro.core import Spider, build_compile_plan
+from repro.core import executor as executor_module
+from repro.core.executor import SpiderExecutor, SweepRunner
 from repro.serve import PlanCache, StencilService, plan_key_for
+from repro.sptc.fused import FusedStencilOperator
 from repro.sptc.macpool import (
     MAC_THREADS_ENV,
     MacThreadPool,
@@ -56,13 +64,27 @@ ALL_BCS = [
 SMALL_BLOCK = 8
 
 
-def _run_released(spec, grid, **kw):
-    """One sweep through a throwaway executor, pool released after."""
-    ex = SpiderExecutor(spec, **kw)
+@contextlib.contextmanager
+def _small_blocks(block=SMALL_BLOCK):
+    """Lower the MAC's column block (and so its threading threshold)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FusedStencilOperator, "COL_BLOCK", block)
+        yield
+
+
+def _run_released(spec, grid, threads, **kw):
+    """One sweep on a throwaway runner of ``threads``, closed after."""
+    runner = SweepRunner(threads)
     try:
-        return ex.run(grid)
+        return SpiderExecutor(spec, **kw).run(grid, runner)
     finally:
-        ex.release_mac_pool()
+        runner.close()
+
+
+def _run_threaded(spec, grid, threads=4, block=SMALL_BLOCK, **kw):
+    """:func:`_run_released` with the threaded path forced on."""
+    with _small_blocks(block):
+        return _run_released(spec, grid, threads, **kw)
 
 
 # ----------------------------------------------------------------------
@@ -239,14 +261,8 @@ def test_threaded_mac_bit_identical(
     spec = make(dims, radius, rng)
     for bc in ALL_BCS:
         grid = Grid(rng.standard_normal(shape), bc)
-        serial = _run_released(spec, grid, precision=precision, mac_threads=1)
-        threaded = _run_released(
-            spec,
-            grid,
-            precision=precision,
-            mac_threads=4,
-            mac_col_block=SMALL_BLOCK,
-        )
+        serial = _run_released(spec, grid, 1, precision=precision)
+        threaded = _run_threaded(spec, grid, precision=precision)
         assert serial.dtype == threaded.dtype
         assert serial.tobytes() == threaded.tobytes(), (kind, bc)
     if (kind, dims, radius, shape) in POOLED_CASES:
@@ -259,9 +275,9 @@ def test_block_width_never_perturbs_numerics():
     rng = np.random.default_rng(7)
     spec = make_box_kernel(2, 2, rng)
     grid = Grid.random((24, 31), rng)
-    base = _run_released(spec, grid, mac_threads=1)
+    base = _run_released(spec, grid, 1)
     for block in (2, 3, 5, 64):
-        out = _run_released(spec, grid, mac_threads=3, mac_col_block=block)
+        out = _run_threaded(spec, grid, 3, block)
         assert out.tobytes() == base.tobytes(), block
 
 
@@ -273,17 +289,59 @@ def test_batched_sweeps_bit_identical_under_threads(monkeypatch):
     spec = make_star_kernel(2, 2, rng)
     small = [Grid.random((14, 17), rng) for _ in range(5)]
     big = [Grid.random((200, 203), rng, bc) for bc in ALL_BCS[1:]]
-    ex1 = SpiderExecutor(spec, mac_threads=1)
-    exN = SpiderExecutor(spec, mac_threads=4, mac_col_block=SMALL_BLOCK)
+    # one shared plan, two runners: each brings its own scratch
+    ex = SpiderExecutor(spec)
+    serial, threaded = SweepRunner(1), SweepRunner(4)
     try:
         for grids in (small, big):
-            assert (
-                ex1.run_batch(grids).tobytes()
-                == exN.run_batch(grids).tobytes()
-            )
+            want = ex.run_batch(grids, serial).tobytes()
+            with _small_blocks():
+                assert ex.run_batch(grids, threaded).tobytes() == want
     finally:
-        exN.release_mac_pool()
+        threaded.close()
     assert ran["pad_one"] and ran["gather_rows"] and ran["add_rows"], dict(ran)
+
+
+def test_one_plan_swept_concurrently_on_own_runners():
+    """Threads sharing one plan, each on a runner of its own, run at once
+    (the plan holds no lock) and never touch each other's scratch or
+    pool: every result matches the serial sweep byte for byte."""
+    rng = np.random.default_rng(11)
+    ex = SpiderExecutor(make_star_kernel(2, 2, rng))
+    grids = [Grid.random((130, 134), rng, bc) for bc in ALL_BCS]
+    serial = SweepRunner(1)
+    expected = [ex.run(g, serial).tobytes() for g in grids]
+    runners = [SweepRunner(2) for _ in grids]
+    wrong = [0] * len(grids)
+    errors = []
+
+    def caller(i):
+        try:
+            for _ in range(20):
+                if ex.run(grids[i], runners[i]).tobytes() != expected[i]:
+                    wrong[i] += 1
+        except Exception as exc:  # surfaced by the assertions below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=caller, args=(i,), daemon=True)
+        for i in range(len(grids))
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave callers more often
+    try:
+        with _small_blocks():  # every runner's pool takes part
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        for runner in runners:
+            runner.close()
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert wrong == [0] * len(grids)
 
 
 def test_all_zero_kernel_skips_gemm_identically():
@@ -293,10 +351,8 @@ def test_all_zero_kernel_skips_gemm_identically():
     spec = make_box_kernel(2, 1, rng)
     zero = spec.with_weights(np.zeros_like(np.asarray(spec.weights)))
     grid = Grid.random((12, 14), rng)
-    serial = _run_released(zero, grid, mac_threads=1)
-    threaded = _run_released(
-        zero, grid, mac_threads=3, mac_col_block=SMALL_BLOCK
-    )
+    serial = _run_released(zero, grid, 1)
+    threaded = _run_threaded(zero, grid, 3)
     assert not np.any(serial)
     assert serial.tobytes() == threaded.tobytes()
 
@@ -322,129 +378,168 @@ def test_degenerate_shapes_thread_invariant(
     shape = (side,) * dims
     grid = Grid(rng.standard_normal(shape), BoundaryCondition.ZERO)
     precision = "fp16" if fp16 else "exact"
-    serial = _run_released(spec, grid, precision=precision, mac_threads=1)
-    threaded = _run_released(
-        spec,
-        grid,
-        precision=precision,
-        mac_threads=threads,
-        mac_col_block=block,
-    )
+    serial = _run_released(spec, grid, 1, precision=precision)
+    threaded = _run_threaded(spec, grid, threads, block, precision=precision)
     assert serial.tobytes() == threaded.tobytes()
 
 
 # ----------------------------------------------------------------------
-# lifecycle: lazy pools, pickling, cache teardown, fork safety
+# lifecycle: immutable plans, lazy pools, pickling, fork safety
 # ----------------------------------------------------------------------
+
+
+def test_compiled_plans_hold_no_lock_pool_or_workspace():
+    """A plan is its operands and geometry: after threaded sweeps, none
+    of its layers holds a lock, a pool or scratch."""
+    rng = np.random.default_rng(4)
+    plan = build_compile_plan(named_stencil("heat2d"))
+    runner = SweepRunner(2)
+    try:
+        with _small_blocks():
+            plan.executor.run(Grid.random((16, 16), rng), runner)
+        assert runner._pool is not None
+    finally:
+        runner.close()
+    lock_types = (type(threading.Lock()), type(threading.RLock()))
+    mutable = lock_types + (MacThreadPool, executor_module._PlanWorkspace)
+    for layer in (plan, plan.executor, plan.fused_operator):
+        for name, value in vars(layer).items():
+            assert not isinstance(value, mutable), (type(layer), name)
+            assert not isinstance(value, collections.OrderedDict), name
 
 
 def test_pool_created_lazily_and_only_when_parallel():
     baseline = live_mac_threads()
     rng = np.random.default_rng(0)
-    ex = SpiderExecutor(
-        make_box_kernel(2, 1, rng), mac_threads=3, mac_col_block=SMALL_BLOCK
-    )
-    op = ex.fused_operator
-    assert op._mac_pool is None  # building a plan parks no threads
+    ex = SpiderExecutor(make_box_kernel(2, 1, rng))
+    runner = SweepRunner(3)
+    assert runner._pool is None  # a new runner parks no threads
     assert live_mac_threads() == baseline
     try:
-        ex.run(Grid.random((16, 16), rng))
-        assert op._mac_pool is not None
-        assert live_mac_threads() == baseline + 2
+        with _small_blocks():
+            ex.run(Grid.random((16, 16), rng), runner)
+            assert runner._pool is not None
+            assert live_mac_threads() == baseline + 2
+            runner.close()
+            assert live_mac_threads() == baseline
+            # a closed runner that sweeps again starts a new pool
+            ex.run(Grid.random((16, 16), rng), runner)
+            assert live_mac_threads() == baseline + 2
     finally:
-        ex.release_mac_pool()
+        runner.close()
+        runner.close()  # idempotent
     assert live_mac_threads() == baseline
-    # a serial plan never creates a pool at all
-    ex1 = SpiderExecutor(make_box_kernel(2, 1, rng), mac_threads=1)
-    ex1.run(Grid.random((16, 16), rng))
-    assert ex1.fused_operator._mac_pool is None
+    # a serial runner never creates a pool at all
+    serial = SweepRunner(1)
+    with _small_blocks():
+        ex.run(Grid.random((16, 16), rng), serial)
+    assert serial._pool is None
     assert live_mac_threads() == baseline
 
 
 def test_pickle_excludes_pool_and_ships_requested_values():
+    """A pickled executor ships only its compile inputs — never a pool
+    or scratch, which belong to runners — and runs identically."""
     rng = np.random.default_rng(5)
     spec = make_box_kernel(2, 2, rng)
     grid = Grid.random((14, 14), rng)
-    ex = SpiderExecutor(spec, mac_threads=3, mac_col_block=SMALL_BLOCK)
+    ex = SpiderExecutor(spec, "fp16", batch_rows=7)
+    runner = SweepRunner(3)
     try:
-        expected = ex.run(grid)
-        assert ex.fused_operator._mac_pool is not None
-        clone = pickle.loads(pickle.dumps(ex))
+        with _small_blocks():
+            expected = ex.run(grid, runner)
+            assert runner._pool is not None
+            clone = pickle.loads(pickle.dumps(ex))
+            assert (clone.precision, clone.use_sptc, clone.batch_rows) == (
+                "fp16",
+                True,
+                7,
+            )
+            assert clone not in runner._arenas
+            assert clone.run(grid, runner).tobytes() == expected.tobytes()
     finally:
-        ex.release_mac_pool()
-    op = clone.fused_operator
-    assert op._mac_pool is None  # pool never crosses a pickle
-    assert op.mac_threads == 3  # requested values survive the roundtrip
-    assert op.mac_col_block == SMALL_BLOCK
-    try:
-        assert clone.run(grid).tobytes() == expected.tobytes()
-    finally:
-        clone.release_mac_pool()
-
-
-def test_rehydrated_plan_re_resolves_adaptive_threads(monkeypatch):
-    """A plan pickled with the adaptive default re-resolves in the
-    *receiving* environment — the process-backend contract."""
-    rng = np.random.default_rng(5)
-    ex = SpiderExecutor(make_box_kernel(1, 1, rng))  # mac_threads=None
-    payload = pickle.dumps(ex)
-    monkeypatch.setenv(MAC_THREADS_ENV, "5")
-    clone = pickle.loads(payload)
-    assert clone.fused_operator.mac_threads == 5
+        runner.close()
 
 
 def test_plan_cache_eviction_trim_clear_shut_pools_down():
+    """Eviction and clear drop plans outright, even ones a runner has
+    served: the runner's scratch for a dropped plan goes with the plan.
+    Threads belong to the runner alone and stop when it closes."""
     baseline = live_mac_threads()
     rng = np.random.default_rng(9)
-    cache = PlanCache(
-        capacity=1, mac_threads=3, mac_col_block=SMALL_BLOCK
-    )
+    cache = PlanCache(capacity=1)
+    runner = SweepRunner(3)
     spec_a, spec_b = named_stencil("heat2d"), named_stencil("jacobi2d")
     grid = Grid.random((16, 16), rng)
-
-    plan_a = cache.get_or_build(
-        plan_key_for(spec_a, grid_shape=(16, 16)), spec=spec_a
-    )
-    plan_a.executor.run(grid)
-    assert live_mac_threads() == baseline + 2
-    # capacity-1 LRU eviction must tear the evicted plan's pool down
-    cache.get_or_build(
-        plan_key_for(spec_b, grid_shape=(16, 16)), spec=spec_b
-    )
+    try:
+        with _small_blocks():
+            cache.get_or_build(
+                plan_key_for(spec_a, grid_shape=(16, 16)), spec=spec_a
+            ).executor.run(grid, runner)
+            assert live_mac_threads() == baseline + 2
+            one_plan = runner.workspace_nbytes()
+            assert one_plan > 0
+            # capacity-1 LRU eviction drops plan a, and a's scratch with it
+            cache.get_or_build(
+                plan_key_for(spec_b, grid_shape=(16, 16)), spec=spec_b
+            ).executor.run(grid, runner)
+            gc.collect()
+            assert len(runner._arenas) == 1
+            assert runner.workspace_nbytes() == one_plan
+            cache.clear()
+            gc.collect()
+            assert len(runner._arenas) == 0
+            assert runner.workspace_nbytes() == 0
+            assert live_mac_threads() == baseline + 2
+    finally:
+        runner.close()
     assert live_mac_threads() == baseline
 
-    plan_b = cache.lookup(plan_key_for(spec_b, grid_shape=(16, 16)))
-    plan_b.executor.run(grid)
-    assert live_mac_threads() == baseline + 2
-    cache.release_pools()
-    assert live_mac_threads() == baseline
 
-    plan_b.executor.run(grid)  # pool re-creates lazily after release
-    assert live_mac_threads() == baseline + 2
-    cache.clear()
-    assert live_mac_threads() == baseline
-
-
-def test_eviction_waits_for_a_running_batch():
-    """A plan evicted while another thread runs it keeps its MAC pool
-    until that batch ends: a pool shut down mid-run would leave the
-    caller waiting on helpers that already exited."""
+def test_spider_runs_share_one_default_pool(monkeypatch):
+    """``Spider.run`` sweeps on the process-wide default runner, so
+    repeated one-shot Spiders on a threaded-size grid start at most one
+    pool between them, however many Spiders come and go."""
+    monkeypatch.setenv(MAC_THREADS_ENV, "2")
+    # a fresh default runner, so the pool this test starts is its own
+    monkeypatch.setattr(executor_module, "_DEFAULT_RUNNER", None)
     baseline = live_mac_threads()
-    cache = PlanCache(capacity=1, mac_threads=2, mac_col_block=SMALL_BLOCK)
+    grid = Grid.random((128, 128), np.random.default_rng(4))
+    try:
+        for _ in range(3):
+            sp = Spider(named_stencil("heat2d"))
+            sp.run(grid)
+            del sp
+        gc.collect()
+        assert live_mac_threads() - baseline <= 1
+    finally:
+        executor_module.default_runner().close()
+    assert live_mac_threads() == baseline
+
+
+def test_evicted_plans_callers_still_run_leave_no_threads():
+    """Two callers alternate plans on a capacity-1 service cache and run
+    the plans they got on the service's sync runner, after later compiles
+    evicted them too.  Plans own no threads, so nothing outlives
+    close()."""
+    baseline = threading.active_count()
+    svc = StencilService(workers=0, mac_threads=2, cache_capacity=1)
     specs = [named_stencil("heat2d"), named_stencil("blur2d")]
-    grid = Grid.random((32, 32), np.random.default_rng(5))
-    plans, errors = [], []
+    grid = Grid.random((128, 128), np.random.default_rng(5))
+    errors = []
 
     def caller(i):
-        # the callers alternate specs, so each compile evicts the plan
-        # the other caller is running
+        held = []
         try:
-            for k in range(100):
+            for k in range(20):
                 spec = specs[(i + k) % 2]
                 key = plan_key_for(spec, grid_shape=grid.shape)
-                plan = cache.get_or_build(key, spec=spec)
-                plans.append(plan)
-                plan.executor.run(grid)
+                # this round's compile evicted the plan of the last round
+                # (capacity 1, alternating specs); run both
+                plan = svc._local_cache.get_or_build(key, spec=spec)
+                held = [plan] + held[:1]
+                for p in held:
+                    p.executor.run(grid, svc._sync_runner)
         except Exception as exc:  # surfaced by the assertions below
             errors.append(exc)
 
@@ -458,11 +553,9 @@ def test_eviction_waits_for_a_running_batch():
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    # a plan run after its eviction re-creates its pool outside the
-    # cache's reach, so release every plan the callers held
-    for plan in plans:
-        plan.executor.release_mac_pool()
-    assert live_mac_threads() == baseline
+    assert svc.stats().cache.evictions > 0
+    svc.close()
+    assert threading.active_count() == baseline
 
 
 def test_stale_foreign_pid_pool_dropped_never_joined():
@@ -470,24 +563,27 @@ def test_stale_foreign_pid_pool_dropped_never_joined():
     foreign pid) is dropped without shutdown — its threads don't exist in
     this process — and a fresh pool is built under the current pid."""
     rng = np.random.default_rng(1)
-    ex = SpiderExecutor(
-        make_box_kernel(2, 1, rng), mac_threads=2, mac_col_block=SMALL_BLOCK
-    )
+    ex = SpiderExecutor(make_box_kernel(2, 1, rng))
+    runner = SweepRunner(2)
     grid = Grid.random((16, 16), rng)
     try:
-        expected = ex.run(grid)
-        op = ex.fused_operator
-        stale = op._pool()
-        stale.pid = os.getpid() + 1  # simulate a fork-inherited pool
-        fresh = op._pool()
-        assert fresh is not stale
-        assert not stale.closed  # dropped, never joined
-        assert op.shutdown_pool() is None  # foreign pool: no-op too
-        stale.pid = os.getpid()  # let the test clean it up for real
-        stale.shutdown()
-        assert ex.run(grid).tobytes() == expected.tobytes()
+        with _small_blocks():
+            expected = ex.run(grid, runner)
+            stale = runner.pool()
+            stale.pid = os.getpid() + 1  # simulate a fork-inherited pool
+            fresh = runner.pool()
+            assert fresh is not stale
+            assert not stale.closed  # dropped, never joined
+            stale.pid = os.getpid()  # let the test clean it up for real
+            stale.shutdown()
+            fresh.pid = os.getpid() + 1
+            runner.close()  # a foreign pool: dropped, never joined
+            assert not fresh.closed
+            fresh.pid = os.getpid()
+            fresh.shutdown()
+            assert ex.run(grid, runner).tobytes() == expected.tobytes()
     finally:
-        ex.release_mac_pool()
+        runner.close()
 
 
 # ----------------------------------------------------------------------
@@ -502,7 +598,6 @@ def _serve_all(requests, *, mac_threads, backend="thread", workers=2, **kw):
         max_batch_size=4,
         max_wait_s=0.001,
         mac_threads=mac_threads,
-        mac_col_block=SMALL_BLOCK,
         **kw,
     ) as svc:
         handles = [
@@ -513,18 +608,20 @@ def _serve_all(requests, *, mac_threads, backend="thread", workers=2, **kw):
         stats = svc.stats()
     assert stats.telemetry.errors == 0
     assert stats.mac_threads == mac_threads
-    return [h.result() for h in handles]
+    return [h.result() for h in handles], stats
 
 
 def _serving_requests(seed=13):
     """Mixed dims x BCs x steps request list (steps>1 covers the temporal
-    super-sweep path under threading)."""
+    super-sweep path under threading).  Every shape crosses the MAC's
+    4096-column threshold, so threads > 1 take the threaded path inside
+    worker processes too."""
     rng = np.random.default_rng(seed)
     cases = [
-        ("wave1d", (64,)),
-        ("heat2d", (18, 22)),
-        ("blur2d", (16, 16)),
-        ("heat3d", (7, 8, 9)),
+        ("wave1d", (1 << 15,)),
+        ("heat2d", (130, 134)),
+        ("blur2d", (128, 128)),
+        ("heat3d", (20, 24, 40)),
     ]
     out = []
     for i, (name, shape) in enumerate(cases):
@@ -544,27 +641,31 @@ def _serving_requests(seed=13):
 def test_serving_bit_identical_across_thread_counts(backend, workers):
     """The full serving stack (batching, plan cache, worker shards,
     temporal super-sweeps) returns byte-identical arrays for
-    mac_threads=1 vs 3 on every backend."""
+    mac_threads=1 vs 3 on every backend, and at 3 threads the MAC really
+    splits its columns (more ``mac.gemm`` spans), worker processes
+    included."""
     requests = _serving_requests()
-    serial = _serve_all(
-        requests, mac_threads=1, backend=backend, workers=workers
+    serial, serial_stats = _serve_all(
+        requests, mac_threads=1, backend=backend, workers=workers, trace=True
     )
-    threaded = _serve_all(
-        requests, mac_threads=3, backend=backend, workers=workers
+    threaded, threaded_stats = _serve_all(
+        requests, mac_threads=3, backend=backend, workers=workers, trace=True
     )
     for (spec, grid, steps), a, b in zip(requests, serial, threaded):
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes(), (spec.name, grid.bc, steps)
+    assert (
+        threaded_stats.stages["mac.gemm"]["count"]
+        > serial_stats.stages["mac.gemm"]["count"]
+    )
 
 
 @pytest.mark.parametrize("workers", [0, 2], ids=["sync", "thread"])
 def test_service_close_leaves_no_mac_threads(workers):
     baseline = live_mac_threads()
     rng = np.random.default_rng(2)
-    svc = StencilService(
-        workers=workers, mac_threads=3, mac_col_block=SMALL_BLOCK
-    )
-    svc.run(named_stencil("heat2d"), Grid.random((16, 16), rng))
+    svc = StencilService(workers=workers, mac_threads=3)
+    svc.run(named_stencil("heat2d"), Grid.random((128, 128), rng))
     assert live_mac_threads() > baseline  # the MAC actually went parallel
     svc.close()
     assert live_mac_threads() == baseline
@@ -595,18 +696,13 @@ def test_traced_service_emits_gemm_spans_per_block():
     ``mac.gemm`` spans surface in the stage totals — including spans
     recorded on pool helper threads."""
     rng = np.random.default_rng(8)
-    with StencilService(
-        workers=1,
-        trace=True,
-        mac_threads=3,
-        mac_col_block=SMALL_BLOCK,
-    ) as svc:
+    with StencilService(workers=1, trace=True, mac_threads=3) as svc:
         for _ in range(3):
-            svc.run(named_stencil("heat2d"), Grid.random((24, 24), rng))
+            svc.run(named_stencil("heat2d"), Grid.random((128, 128), rng))
         stats = svc.stats()
     gemm = stats.stages.get("mac.gemm")
     assert gemm is not None
-    # a 24x24 sweep spans several column blocks under an 8-wide plan, and
-    # each block emits one span — strictly more spans than batches
+    # a 128x128 sweep spans several column blocks on the threaded path,
+    # and each block emits one span — strictly more spans than batches
     assert gemm["count"] > stats.telemetry.batches
     assert gemm["total_s"] >= 0.0

@@ -10,9 +10,8 @@ device, tile shape)``.  These tests pin it down at three layers —
   output is **bit-identical** to the original executor's per-row
   reference oracle (the seed path `_reference_run`), as a hypothesis
   property over random kernels, precisions and grids;
-* plans pickle as recipes: the payload stays small (no workspace arenas,
-  no expanded operands) and the rebuilt plan re-establishes workspaces
-  lazily on first use.
+* plans pickle as recipes: the payload stays small (no expanded
+  operands; workspaces belong to runners, never to plans).
 """
 
 import json
@@ -23,7 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PlanRecipe, SpiderVariant, build_compile_plan
+from repro.core import (
+    PlanRecipe,
+    SpiderVariant,
+    SweepRunner,
+    build_compile_plan,
+)
 from repro.gpu.device import A100_80GB_PCIE, GENERIC_GPU, DeviceSpec
 from repro.serve import PlanKey, plan_key_for
 from repro.stencil import Grid, ShapeType, StencilSpec, named_stencil
@@ -143,19 +147,24 @@ def test_sweep_aware_key_and_recipe_roundtrip(spec, steps, shape):
 
 def test_plan_pickles_small_without_workspaces(rng):
     plan = build_compile_plan(named_stencil("blur2d"))
-    # serve a few geometries so the arena is populated and accounted
+    runner = SweepRunner(1)
+    # serve a few geometries so the runner's arena is populated
     for shape in ((16, 16), (24, 20)):
-        plan.executor.run(Grid.random(shape, rng))
-    assert plan.workspace_nbytes() > 0
+        plan.executor.run(Grid.random(shape, rng), runner)
+    assert runner.workspace_nbytes() > 0
     blob = pickle.dumps(plan)
     # recipes are pure data: far smaller than one workspace arena
     assert len(blob) < 4096
     restored = pickle.loads(blob)
-    # workspaces were not carried; they rebuild lazily on first use
-    assert len(restored.executor._workspaces) == 0
+    # the scratch belongs to the runner, keyed by plan: the restored plan
+    # has none until it runs, and then builds its own
+    assert restored.executor not in runner._arenas
     g = Grid.random((16, 16), rng)
-    assert restored.executor.run(g).tobytes() == plan.executor.run(g).tobytes()
-    assert len(restored.executor._workspaces) == 1
+    assert (
+        restored.executor.run(g, runner).tobytes()
+        == plan.executor.run(g, runner).tobytes()
+    )
+    assert len(runner._arenas[restored.executor]) == 1
 
 
 def test_plan_pickle_covers_variants_and_tile_plans(rng):

@@ -475,35 +475,38 @@ def test_sync_backend_exhausted_budget_surfaces_fault():
 # ----------------------------------------------------------------------
 
 
-def test_no_orphaned_session_threads_after_mid_solve_kill():
-    """Every spider-solve-* session thread terminates after a mid-solve
-    worker kill — whether the session resumed or failed (satellite for
-    the dead-shard session-cleanup contract)."""
+def test_drained_sessions_leave_no_threads_behind():
+    """Each solve session runs on its own runner, which closes when the
+    session ends: once drain() returns, with the service still open, no
+    session thread and no MAC helper started during the test remains."""
     spec = named_stencil("heat2d")
     rng = np.random.default_rng(5)
-    plan = FaultPlan(faults=(FaultSpec(kind="kill_worker", shard=0, at_batch=3),))
-    with StencilService(
-        workers=1, backend="process", max_wait_s=0.001, faults=plan
-    ) as svc:
+    before = set(threading.enumerate())
+    svc = StencilService(workers=1, backend="thread", mac_threads=2)
+    try:
+        # 127^2 is large enough for each session's runner to start a pool
         handles = [
             svc.submit_solve(
-                spec, rng.standard_normal((13, 13)), tol=1e-10, max_iters=5
+                spec, rng.standard_normal((127, 127)), tol=1e-10, max_iters=3
             )
             for _ in range(3)
         ]
         svc.drain()
         assert all(h.done() for h in handles)
-    deadline = time.monotonic() + 30.0
-    while time.monotonic() < deadline:
-        orphans = [
-            th.name
-            for th in threading.enumerate()
-            if th.name.startswith("spider-solve-")
-        ]
-        if not orphans:
-            break
-        time.sleep(0.05)
-    assert not orphans, f"session threads outlived their solves: {orphans}"
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            left = [
+                th.name
+                for th in threading.enumerate()
+                if th not in before
+                and th.name.startswith(("spider-solve-", "repro-mac"))
+            ]
+            if not left:
+                break
+            time.sleep(0.05)
+        assert not left, f"threads outlived their solves: {left}"
+    finally:
+        svc.close()
 
 
 def test_drain_races_concurrent_failing_solves():

@@ -262,9 +262,10 @@ def test_drain_waits_for_sessions_and_close_rejects_new_ones(rng):
 
 def test_close_stops_a_running_session_and_leaks_no_threads(rng):
     """close() stops a running session at its next iteration boundary and
-    waits for it before releasing the MAC pools, so no pool is re-created
-    after the release and no thread the service started outlives it."""
+    waits for it, so the session's runner has stopped its MAC threads and
+    no thread the service started outlives it."""
     before = set(threading.enumerate())
+    mac_baseline = live_mac_threads()
     svc = StencilService(workers=1, backend="thread", mac_threads=2)
     # 255^2 is large enough for the plans to start their MAC pools
     h = svc.submit_solve(
@@ -280,7 +281,7 @@ def test_close_stops_a_running_session_and_leaks_no_threads(rng):
     svc.close()
     assert h.done()
     assert isinstance(h.exception(timeout=0), ServiceClosedError)
-    assert live_mac_threads() == 0
+    assert live_mac_threads() == mac_baseline
     # the session thread returns right after it fails its handle
     deadline = time.monotonic() + 10.0
     while time.monotonic() < deadline:
