@@ -102,7 +102,7 @@ def bench_serving(smoke: bool, seed: int = 2026) -> dict:
         seed=seed,
     )
     requests = list(closed_loop_stream(workloads, n_requests, seed=seed))
-    with StencilService(workers=2, max_batch_size=16, max_wait_s=0.002) as svc:
+    with StencilService(workers=2, max_batch_size=16) as svc:
         svc.submit_many((r.spec, r.grid) for r in requests[: n_requests // 4])
         svc.drain()  # warm plans + workspaces off the clock
         t0 = time.perf_counter()

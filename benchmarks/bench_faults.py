@@ -49,14 +49,12 @@ BENCH_SHAPES = ["heat2d", "blur2d", "wave2d"]
 OVERHEAD_GATE = 0.7
 
 
-def run_stream(requests, *, faults=None, workers=2, max_batch_size=8,
-               max_wait_s=0.002):
+def run_stream(requests, *, faults=None, workers=2, max_batch_size=8):
     """One closed-loop pass; returns (outputs, metrics dict)."""
     with StencilService(
         workers=workers,
         backend="process",
         max_batch_size=max_batch_size,
-        max_wait_s=max_wait_s,
         faults=faults,
     ) as svc:
         t0 = time.perf_counter()

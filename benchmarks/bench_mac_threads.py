@@ -92,7 +92,6 @@ def _serve_sequential(spec, grid, n_requests: int, mac_threads: int):
     with StencilService(
         workers=1,
         max_batch_size=1,
-        max_wait_s=0.0,
         mac_threads=mac_threads,
     ) as svc:
         svc.run(spec, grid)  # warm

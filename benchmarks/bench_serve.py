@@ -76,12 +76,11 @@ def run_naive(requests):
     }
 
 
-def run_served(requests, *, workers, max_batch_size, max_wait_s, backend="thread"):
+def run_served(requests, *, workers, max_batch_size, backend="thread"):
     """Batched-cached serving path (thread or process workers)."""
     with StencilService(
         workers=workers,
         max_batch_size=max_batch_size,
-        max_wait_s=max_wait_s,
         backend=backend,
     ) as svc:
         t0 = time.perf_counter()
@@ -105,7 +104,6 @@ def bench_serve(
     *,
     workers: int = 4,
     max_batch_size: int = 24,
-    max_wait_s: float = 0.003,
     size_2d=(20, 20),
     size_1d=(768,),
     seed: int = 2026,
@@ -122,14 +120,12 @@ def bench_serve(
         warmup,
         workers=workers,
         max_batch_size=max_batch_size,
-        max_wait_s=max_wait_s,
     )
     naive = run_naive(requests)
     served = run_served(
         requests,
         workers=workers,
         max_batch_size=max_batch_size,
-        max_wait_s=max_wait_s,
     )
     return {
         "config": {
@@ -137,7 +133,6 @@ def bench_serve(
             "shapes": BENCH_SHAPES,
             "workers": workers,
             "max_batch_size": max_batch_size,
-            "max_wait_ms": max_wait_s * 1e3,
             "size_2d": list(size_2d),
             "size_1d": list(size_1d),
         },
@@ -152,7 +147,6 @@ def bench_backends(
     *,
     workers: int = 2,
     max_batch_size: int = 8,
-    max_wait_s: float = 0.002,
     size_2d=(64, 64),
     size_1d=(4096,),
     seed: int = 2026,
@@ -175,14 +169,12 @@ def bench_backends(
             warmup,
             workers=workers,
             max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
             backend=backend,
         )
         results[backend] = run_served(
             requests,
             workers=workers,
             max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
             backend=backend,
         )
     return {
@@ -191,7 +183,6 @@ def bench_backends(
             "shapes": BENCH_SHAPES,
             "workers": workers,
             "max_batch_size": max_batch_size,
-            "max_wait_ms": max_wait_s * 1e3,
             "size_2d": list(size_2d),
             "size_1d": list(size_1d),
         },
@@ -284,7 +275,6 @@ def main(argv=None) -> int:
     ap.add_argument("--requests", type=int, default=800)
     ap.add_argument("--workers", type=int, default=4)
     ap.add_argument("--batch", type=int, default=24)
-    ap.add_argument("--wait-ms", type=float, default=3.0)
     ap.add_argument("--seed", type=int, default=2026)
     ap.add_argument(
         "--compare-backends",
@@ -304,7 +294,6 @@ def main(argv=None) -> int:
             args.requests,
             workers=args.workers,
             max_batch_size=args.batch,
-            max_wait_s=args.wait_ms / 1e3,
             seed=args.seed,
         )
         append_bench_record(
@@ -316,7 +305,6 @@ def main(argv=None) -> int:
             args.requests,
             workers=args.workers,
             max_batch_size=args.batch,
-            max_wait_s=args.wait_ms / 1e3,
             seed=args.seed,
         )
     print(json.dumps(result, indent=2))

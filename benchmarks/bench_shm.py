@@ -49,12 +49,11 @@ BENCH_SHAPES = ["heat2d", "blur2d"]
 
 
 def run_transport(requests, *, transport, workers=2, max_batch_size=8,
-                  max_wait_s=0.002, keep_results=False):
+                  keep_results=False):
     """Serve one trace through the process backend with one transport."""
     with StencilService(
         workers=workers,
         max_batch_size=max_batch_size,
-        max_wait_s=max_wait_s,
         backend="process",
         transport=transport,
     ) as svc:
@@ -84,7 +83,6 @@ def bench_transports(
     *,
     workers: int = 2,
     max_batch_size: int = 8,
-    max_wait_s: float = 0.002,
     size_2d=(192, 192),
     seed: int = 2026,
 ) -> dict:
@@ -107,14 +105,12 @@ def bench_transports(
             transport=transport,
             workers=workers,
             max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
         )
         results[transport], outs[transport] = run_transport(
             requests,
             transport=transport,
             workers=workers,
             max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
             keep_results=True,
         )
     identical = all(
@@ -127,7 +123,6 @@ def bench_transports(
             "shapes": BENCH_SHAPES,
             "workers": workers,
             "max_batch_size": max_batch_size,
-            "max_wait_ms": max_wait_s * 1e3,
             "size_2d": list(size_2d),
             "payload_bytes_per_grid": int(
                 size_2d[0] * size_2d[1] * 8
@@ -196,7 +191,6 @@ def main(argv=None) -> int:
     ap.add_argument("--requests", type=int, default=400)
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--batch", type=int, default=8)
-    ap.add_argument("--wait-ms", type=float, default=2.0)
     ap.add_argument("--size", type=int, default=192,
                     help="square 2D grid side length")
     ap.add_argument("--seed", type=int, default=2026)
@@ -217,7 +211,6 @@ def main(argv=None) -> int:
         n,
         workers=args.workers,
         max_batch_size=args.batch,
-        max_wait_s=args.wait_ms / 1e3,
         size_2d=(size, size),
         seed=args.seed,
     )

@@ -114,7 +114,6 @@ def bench_temporal(
     workers: int = 2,
     backend: str = "thread",
     max_batch_size: int = 24,
-    max_wait_s: float = 0.001,
     size_2d=(16, 16),
     size_1d=(512,),
     seed: int = 2026,
@@ -125,7 +124,6 @@ def bench_temporal(
         workers=workers,
         backend=backend,
         max_batch_size=max_batch_size,
-        max_wait_s=max_wait_s,
     ) as svc:
         # warm the plan caches and thread pools off the clock
         warm = _make_requests(
@@ -159,7 +157,6 @@ def bench_temporal(
             "workers": workers,
             "backend": backend,
             "max_batch_size": max_batch_size,
-            "max_wait_ms": max_wait_s * 1e3,
             "size_2d": list(size_2d),
             "size_1d": list(size_1d),
         },
@@ -221,7 +218,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--backend", choices=["thread", "process"], default="thread")
     ap.add_argument("--batch", type=int, default=24)
-    ap.add_argument("--wait-ms", type=float, default=1.0)
     ap.add_argument(
         "--steps", default="2,4,8", help="comma list of sweep counts"
     )
@@ -242,7 +238,6 @@ def main(argv=None) -> int:
         workers=args.workers,
         backend=args.backend,
         max_batch_size=args.batch,
-        max_wait_s=args.wait_ms / 1e3,
         seed=args.seed,
     )
     append_bench_record(

@@ -55,7 +55,6 @@ def run_serving(
     transport=None,
     workers=2,
     max_batch_size=8,
-    max_wait_s=0.002,
     steps=2,
 ):
     """Serve one trace; returns (record dict, spans tuple)."""
@@ -63,7 +62,6 @@ def run_serving(
     with StencilService(
         workers=workers,
         max_batch_size=max_batch_size,
-        max_wait_s=max_wait_s,
         backend=backend,
         trace=trace,
         **kwargs,
@@ -107,7 +105,6 @@ def bench_tracing(
     *,
     workers: int = 2,
     max_batch_size: int = 8,
-    max_wait_s: float = 0.002,
     size_2d=(96, 96),
     steps: int = 2,
     seed: int = 2026,
@@ -119,14 +116,14 @@ def bench_tracing(
 
     # -- enabled overhead, thread backend ------------------------------
     run_serving(warmup, trace=False, workers=workers, steps=steps,
-                max_batch_size=max_batch_size, max_wait_s=max_wait_s)
+                max_batch_size=max_batch_size)
     untraced, _ = run_serving(
         requests, trace=False, workers=workers, steps=steps,
-        max_batch_size=max_batch_size, max_wait_s=max_wait_s,
+        max_batch_size=max_batch_size,
     )
     traced, thread_spans = run_serving(
         requests, trace=True, workers=workers, steps=steps,
-        max_batch_size=max_batch_size, max_wait_s=max_wait_s,
+        max_batch_size=max_batch_size,
     )
     enabled_overhead_pct = 100.0 * (
         1.0 - traced["throughput_rps"] / untraced["throughput_rps"]
@@ -146,11 +143,11 @@ def bench_tracing(
     )
     run_serving(warmup, trace=True, backend="process", transport="shm",
                 workers=workers, steps=steps,
-                max_batch_size=max_batch_size, max_wait_s=max_wait_s)
+                max_batch_size=max_batch_size)
     proc, proc_spans = run_serving(
         requests, trace=True, backend="process", transport="shm",
         workers=workers, steps=steps,
-        max_batch_size=max_batch_size, max_wait_s=max_wait_s,
+        max_batch_size=max_batch_size,
     )
     coverage_process = execution_coverage(proc_spans, proc["service_total_s"])
 
@@ -160,7 +157,6 @@ def bench_tracing(
             "shapes": BENCH_SHAPES,
             "workers": workers,
             "max_batch_size": max_batch_size,
-            "max_wait_ms": max_wait_s * 1e3,
             "size_2d": list(size_2d),
             "steps": steps,
         },
@@ -229,7 +225,6 @@ def main(argv=None) -> int:
     ap.add_argument("--requests", type=int, default=200)
     ap.add_argument("--workers", type=int, default=2)
     ap.add_argument("--batch", type=int, default=8)
-    ap.add_argument("--wait-ms", type=float, default=2.0)
     ap.add_argument("--size", type=int, default=96,
                     help="square 2D grid side length")
     ap.add_argument("--steps", type=int, default=2)
@@ -251,7 +246,6 @@ def main(argv=None) -> int:
         n,
         workers=args.workers,
         max_batch_size=args.batch,
-        max_wait_s=args.wait_ms / 1e3,
         size_2d=(size, size),
         steps=args.steps,
         seed=args.seed,

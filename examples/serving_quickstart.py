@@ -33,8 +33,9 @@ def main() -> None:
           f"{len(workloads)} stencil specs")
 
     # 2. serve the trace: 4 sharded workers, each owning a warm plan cache;
-    #    same-spec requests coalesce into fused batches (max 8, 2ms wait)
-    with StencilService(workers=4, max_batch_size=8, max_wait_s=0.002) as svc:
+    #    same-spec requests that queue while a worker is busy fuse into
+    #    one batch (at most 8)
+    with StencilService(workers=4, max_batch_size=8) as svc:
         start = time.perf_counter()
         handles = svc.submit_many((r.spec, r.grid) for r in requests)
         svc.drain()

@@ -166,7 +166,6 @@ def _cmd_serve_bench(args) -> int:
     with StencilService(
         workers=args.workers,
         max_batch_size=args.batch,
-        max_wait_s=args.wait_ms / 1e3,
         backend=args.backend,
         transport=args.transport,
         trace=trace_path is not None,
@@ -292,7 +291,6 @@ def _cmd_trace(args) -> int:
     with StencilService(
         workers=args.workers,
         max_batch_size=args.batch,
-        max_wait_s=args.wait_ms / 1e3,
         backend=args.backend,
         transport=args.transport,
         trace=True,
@@ -454,9 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max batch size",
     )
     p.add_argument(
-        "--wait-ms", type=float, default=2.0, help="batching deadline (ms)"
-    )
-    p.add_argument(
         "--steps",
         type=int,
         default=1,
@@ -526,9 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--transport", choices=["shm", "queue"], default="shm")
     p.add_argument("--batch", type=int, default=8, help="max batch size")
-    p.add_argument(
-        "--wait-ms", type=float, default=2.0, help="batching deadline (ms)"
-    )
     p.add_argument("--steps", type=int, default=1)
     p.add_argument(
         "--mac-threads",

@@ -7,7 +7,7 @@ requests into batched SpTC passes:
 
 * :mod:`plan_cache` — LRU cache of AOT compile plans, keyed on
   ``(spec fingerprint, variant, precision, tile plan)``;
-* :mod:`batching` — request futures and the same-plan coalescing queue;
+* :mod:`batching` — request futures and the same-plan batch queue;
 * :mod:`workers` — sharded worker loops with spec-affinity routing, as
   in-process threads (``backend="thread"``) or per-shard worker processes
   with private plan caches (``backend="process"``, bit-identical results);

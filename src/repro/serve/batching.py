@@ -1,4 +1,4 @@
-"""Request handles and the same-plan coalescing batch queue.
+"""Request handles and the same-plan batch queue.
 
 The serving runtime's second throughput lever (after plan caching) is
 *batch fusion*: requests that resolve to the same compile plan and grid
@@ -8,27 +8,27 @@ per-sweep Python and GEMM-launch overhead across the whole batch — the same
 phase-amortization idea as the SUMMA compute model's overlapped pipeline
 (SNIPPETS.md).
 
-:class:`BatchQueue` implements the classic coalescing policy: a batch is
-released as soon as ``max_batch_size`` same-key requests are pending, or
-when the oldest pending request has waited ``max_wait_s`` (the deadline
-bounds added latency under light load).  Requests with *different* keys
-never share a batch — and because the sweep-aware
+:class:`BatchQueue` never holds a request back to wait for company: its
+consumer asks for a batch only once it is free to run it (a thread shard
+after it finishes a batch, a process feeder after it ships one), and
+:meth:`~BatchQueue.get_batch` returns at once.  So a batch fuses exactly
+what arrived while its consumer was busy, and an idle shard serves a lone
+request immediately — the way Clipper (Crankshaw et al., NSDI 2017)
+batches: a replica takes what queued up while it worked.  Requests with
+*different* keys never share a batch — and because the sweep-aware
 :class:`~repro.serve.plan_cache.PlanKey` carries ``steps``, multi-sweep
 requests coalesce by ``(plan, steps)``: a batch only ever fuses requests
 advancing the same plan by the same number of sweeps, so the whole batch
-can ride one temporal super-sweep.  Keys are served oldest-pending-head first — an
-overdue cold key always beats a hot key's next full batch, so sustained
-hot traffic delays a cold request by at most one coalescing window plus
-one batch service time — but while the oldest head is still inside its
-window, any key that already has a full batch releases immediately.
+can ride one temporal super-sweep.  Keys are served oldest-pending-head
+first, so sustained hot traffic cannot starve a colder key: once its
+request is the oldest pending one, its batch goes next.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from collections import OrderedDict, deque
-from typing import Callable, Deque, List, Optional
+from collections import deque
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -42,12 +42,15 @@ __all__ = ["BatchQueue", "DeadlineExceeded", "ServeRequest"]
 class DeadlineExceeded(TimeoutError):
     """A request (or solver session) outlived its deadline.
 
-    Raised from ``result()`` when the coalescing queue or a dispatch path
-    expired the future — deadlines are enforced *server-side*, so an
-    expired request stops consuming worker time instead of merely timing
-    out its caller's wait.  A solver session raises it at its first
-    iteration boundary past the deadline.  Never retried: a deadline is a
-    statement that the answer has stopped being useful.
+    Raised from ``result()`` when the request's deadline passed before its
+    batch ran.  Whoever takes a batch checks it: a thread shard before it
+    runs the batch, a process feeder before it ships it, a retry before
+    it re-places a request, and the sync path before it runs.  Deadlines
+    are enforced *server-side*, so an expired request stops consuming
+    worker time instead of merely timing out its caller's wait.  A solver
+    session raises it at its first iteration boundary past the deadline.
+    Never retried: a deadline is a statement that the answer has stopped
+    being useful.
     """
 
 
@@ -74,8 +77,8 @@ class ServeRequest:
         self.grid = grid
         self.key = key
         self.submitted_s = submitted_s
-        #: absolute monotonic-clock deadline; the queue and dispatch paths
-        #: expire the future with :class:`DeadlineExceeded` once passed
+        #: absolute monotonic-clock deadline; whoever takes the request's
+        #: batch past it fails the future with :class:`DeadlineExceeded`
         self.deadline_s = deadline_s
         #: re-enqueues left after a transient failure (worker crash, slab
         #: error); ``None`` until the owning pool stamps its retry budget
@@ -174,67 +177,27 @@ class ServeRequest:
 
 
 class BatchQueue:
-    """Single-consumer queue that coalesces same-plan requests.
+    """Queue that groups pending requests by plan key.
 
     Parameters
     ----------
     max_batch_size:
         Hard cap on fused batch occupancy.
-    max_wait_s:
-        How long the oldest pending request may wait for co-batchable
-        arrivals before its (possibly singleton) batch is released.
-    clock:
-        Monotonic time source (injectable for tests).
 
-    Exactly one worker may consume from a queue: :meth:`get_batch` leaves
-    pending requests visible while it waits out the coalescing deadline.
+    Each shard has one consumer, which calls :meth:`get_batch` only once
+    it is free to run (or ship) what it gets back.
     """
 
-    def __init__(
-        self,
-        *,
-        max_batch_size: int = 8,
-        max_wait_s: float = 0.002,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, *, max_batch_size: int = 8) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_s)
-        self._clock = clock
-        self._coalesced_batches = None
-        self._coalesced_requests = None
-        self._coalesced_sweeps = None
-        # per-key FIFOs, ordered by each key's first pending arrival, so a
-        # put and a batch extraction are O(1)/O(batch) instead of scanning
-        # every pending request on every wakeup
-        self._by_key: "OrderedDict[PlanKey, Deque[ServeRequest]]" = OrderedDict()
+        # per-key FIFOs, so a put and a batch extraction are O(1)/O(batch)
+        # instead of scanning every pending request
+        self._by_key: Dict[PlanKey, Deque[ServeRequest]] = {}
         self._pending_count = 0
         self._cond = threading.Condition()
         self._closed = False
-        #: called with the list of requests this queue expired (already
-        #: failed with :class:`DeadlineExceeded`) — the owning pool hangs
-        #: its telemetry here
-        self.on_expired: Optional[Callable[[List[ServeRequest]], None]] = None
-
-    def bind_metrics(self, registry) -> None:
-        """Register coalescing counters into a
-        :class:`~repro.serve.metrics.MetricsRegistry`; idempotent per
-        name, so every shard's queue shares the same counters."""
-        self._coalesced_batches = registry.counter(
-            "repro_serve_coalesced_batches_total",
-            "Batches released by the coalescing queues.",
-        )
-        self._coalesced_requests = registry.counter(
-            "repro_serve_coalesced_requests_total",
-            "Requests released inside coalesced batches.",
-        )
-        self._coalesced_sweeps = registry.counter(
-            "repro_serve_coalesced_sweeps_total",
-            "Sweeps (fusion depth x occupancy) released in batches.",
-        )
 
     def __len__(self) -> int:
         with self._cond:
@@ -259,88 +222,26 @@ class BatchQueue:
             self._cond.notify_all()
 
     def get_batch(self) -> Optional[List[ServeRequest]]:
-        """Next coalesced batch, or None once closed and drained.
+        """Next batch, or None once closed and drained.
 
-        Blocks until at least one request is pending, then waits up to the
-        head request's deadline for more requests with the *same* plan key,
-        releasing early when ``max_batch_size`` is reached.
-
-        Request deadlines are enforced here (the "at coalescing" half of
-        the deadline contract): the wait wakes no later than the head
-        request's deadline, and every popped request whose deadline has
-        passed is failed with :class:`DeadlineExceeded` instead of being
-        handed to a worker — an expired future never costs execute time.
+        Blocks only while nothing is pending.  Returns the oldest pending
+        request together with the requests of the *same* plan key queued
+        behind it, up to ``max_batch_size``.  Deadlines are left to the
+        consumer, which expires the batch it pulled before running it.
         """
-        while True:
-            with self._cond:
-                while not self._pending_count:
-                    if self._closed:
-                        return None
-                    self._cond.wait()
-                while True:
-                    # priority 1: the oldest pending head, once its
-                    # coalescing window has expired (or on close/full) —
-                    # this bounds how long a cold key can be delayed by
-                    # hot traffic
-                    key, fifo = min(
-                        self._by_key.items(),
-                        key=lambda kv: kv[1][0].submitted_s,
-                    )
-                    if self._closed or len(fifo) >= self.max_batch_size:
-                        break
-                    now = self._clock()
-                    remaining = fifo[0].submitted_s + self.max_wait_s - now
-                    if fifo[0].deadline_s is not None:
-                        # an expired head releases its batch immediately
-                        # (it is failed below, co-batched live requests
-                        # just ship a window early)
-                        remaining = min(
-                            remaining, fifo[0].deadline_s - now
-                        )
-                    if remaining <= 0:
-                        break
-                    # priority 2: while the oldest head is still inside
-                    # its window, a different key that already has a full
-                    # batch releases immediately instead of idling the
-                    # worker
-                    full = [
-                        kv
-                        for kv in self._by_key.items()
-                        if len(kv[1]) >= self.max_batch_size
-                    ]
-                    if full:
-                        key, fifo = min(
-                            full, key=lambda kv: kv[1][0].submitted_s
-                        )
-                        break
-                    self._cond.wait(remaining)
-                batch = []
-                while fifo and len(batch) < self.max_batch_size:
-                    batch.append(fifo.popleft())
-                if not fifo:
-                    del self._by_key[key]
-                self._pending_count -= len(batch)
-            now = self._clock()
-            expired = [r for r in batch if r.expired(now)]
-            if expired:
-                for r in expired:
-                    r._fail(
-                        DeadlineExceeded(
-                            f"request {r.req_id} missed its deadline "
-                            "while queued"
-                        ),
-                        started_s=now,
-                        finished_s=now,
-                    )
-                if self.on_expired is not None:
-                    self.on_expired(expired)
-                batch = [r for r in batch if not r.done()]
-            if not batch:
-                # everything in this pop expired: go around (there may be
-                # nothing left pending, or the queue may have closed)
-                continue
-            if self._coalesced_batches is not None:
-                self._coalesced_batches.inc()
-                self._coalesced_requests.inc(len(batch))
-                self._coalesced_sweeps.inc(len(batch) * key.steps)
+        with self._cond:
+            while not self._pending_count:
+                if self._closed:
+                    return None
+                self._cond.wait()
+            key, fifo = min(
+                self._by_key.items(), key=lambda kv: kv[1][0].submitted_s
+            )
+            batch = [
+                fifo.popleft()
+                for _ in range(min(len(fifo), self.max_batch_size))
+            ]
+            if not fifo:
+                del self._by_key[key]
+            self._pending_count -= len(batch)
             return batch

@@ -11,9 +11,9 @@ much.  This module makes faults first-class, seeded data:
   Bernoulli draw per batch, replayable for a fixed seed and per-shard
   batch order).
 * :class:`FaultPlan` — an immutable, JSON-serializable set of specs plus
-  the seed.  ``StencilService(faults=plan)`` arms it; the ``REPRO_FAULTS``
-  environment variable (inline JSON or a path to a JSON file) arms it
-  without touching code — the hook the CI chaos job uses.
+  the seed.  ``StencilService(faults=plan)`` arms it (the plan, its dict
+  form, inline JSON or a path to a JSON file), and so does
+  ``serve-bench --faults``.
 * :class:`FaultInjector` — the runtime: all counters live parent-side
   (feeder / worker-thread / sync call sites ask ``should_fire`` per
   batch), so a respawned worker process can never double-count its
@@ -64,7 +64,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "REPRO_FAULTS_ENV",
 ]
 
 #: Supported fault kinds (see the module docstring for semantics).
@@ -75,11 +74,6 @@ FAULT_KINDS: Tuple[str, ...] = (
     "fail_pickle",
     "fail_batch",
 )
-
-#: Environment hook: inline JSON (``{"faults": [...], "seed": 0}``) or a
-#: path to a JSON file with the same shape.
-REPRO_FAULTS_ENV = "REPRO_FAULTS"
-
 
 class InjectedFault(RuntimeError):
     """A failure raised by the fault-injection harness.
@@ -207,14 +201,6 @@ class FaultPlan:
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
         return cls.from_json(text)
-
-    @classmethod
-    def from_env(cls) -> Optional["FaultPlan"]:
-        """The plan armed via ``REPRO_FAULTS`` (None when unset/empty)."""
-        raw = os.environ.get(REPRO_FAULTS_ENV, "").strip()
-        if not raw:
-            return None
-        return cls.coerce(raw)
 
     @classmethod
     def chaos(cls, rate: float, seed: int = 0) -> "FaultPlan":

@@ -10,10 +10,9 @@ histograms merge by adding bucket counts — which is what lets per-worker
 accumulators roll up across shards and processes.
 
 :class:`MetricsRegistry` is the complementary counter/gauge surface: the
-serving components (:mod:`~repro.serve.batching` coalescing,
-:mod:`~repro.serve.shm` backpressure, :mod:`~repro.serve.plan_cache`
-compiles, the :mod:`~repro.serve.workers` feeder/dispatcher loops)
-register named metrics into the service's registry at construction and
+serving components (:mod:`~repro.serve.shm` backpressure,
+:mod:`~repro.serve.plan_cache` compiles, the :mod:`~repro.serve.workers`
+feeder/dispatcher loops) register named metrics into the service's registry at construction and
 bump them on the hot path (one uncontended lock each).  The registry
 renders straight to the Prometheus text exposition format;
 :func:`validate_prometheus_text` is the format checker CI runs against

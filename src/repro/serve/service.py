@@ -81,9 +81,9 @@ class StencilService:
         fallback path (inline execution, no threads).
     max_batch_size:
         Cap on how many same-plan requests fuse into one executor pass.
-    max_wait_s:
-        Batching deadline: how long a pending request may wait for
-        co-batchable arrivals (bounds added latency under light load).
+        A worker takes its next batch as soon as it is free, so a batch
+        fuses what queued while the worker was busy; an idle worker
+        serves a lone request at once.
     cache_capacity:
         Per-worker plan-cache capacity (LRU).
     precision / variant / device:
@@ -131,13 +131,12 @@ class StencilService:
         Service-wide default request deadline in seconds (``None`` = no
         deadline).  ``submit(..., timeout=)`` overrides it per request;
         expired requests fail with :class:`~repro.serve.batching.DeadlineExceeded`
-        at coalescing or dispatch instead of occupying workers.
+        when a worker takes their batch instead of occupying it.
     faults:
         Deterministic fault-injection plan for chaos testing — a
         :class:`~repro.serve.faults.FaultPlan`, its dict form, inline
-        JSON, or a path to a JSON file.  When ``None`` the plan armed via
-        the ``REPRO_FAULTS`` environment variable (if any) is loaded, so
-        whole test suites can run under injected chaos unmodified.
+        JSON, or a path to a JSON file.  ``None`` (the default) injects
+        nothing.
     """
 
     def __init__(
@@ -145,7 +144,6 @@ class StencilService:
         *,
         workers: int = 4,
         max_batch_size: int = 8,
-        max_wait_s: float = 0.002,
         cache_capacity: int = 64,
         precision: str = MmaPrecision.EXACT,
         variant: SpiderVariant = SpiderVariant.SPTC_CO,
@@ -179,8 +177,6 @@ class StencilService:
         self._policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._default_deadline_s = default_deadline_s
         fault_plan = FaultPlan.coerce(faults)
-        if fault_plan is None:
-            fault_plan = FaultPlan.from_env()
         self.fault_plan: Optional[FaultPlan] = fault_plan
         # the sync fallback executes on the caller thread, so it carries
         # its own injector (the pool-owned one never sees those batches)
@@ -206,7 +202,6 @@ class StencilService:
             self._pool = WorkerPool(
                 workers,
                 max_batch_size=max_batch_size,
-                max_wait_s=max_wait_s,
                 cache_capacity=cache_capacity,
                 device=device,
                 telemetry=self._telemetry,
@@ -264,8 +259,8 @@ class StencilService:
         ``timeout`` attaches a deadline (seconds from now; defaults to the
         service's ``default_deadline_s``): a request still unserved when it
         expires fails with :class:`~repro.serve.batching.DeadlineExceeded`
-        — shed at the coalescing queue or at dispatch rather than occupying
-        a worker.  A request whose execution already started runs to
+        — shed when a worker takes its batch rather than occupying the
+        worker.  A request whose execution already started runs to
         completion.
         """
         steps = int(steps)

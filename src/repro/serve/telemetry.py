@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 #: Stages an error can be attributed to, in pipeline order.  "deadline"
-#: collects requests expired by the deadline machinery (at coalescing or
-#: dispatch) rather than failed by a stage proper.
+#: collects requests expired by the deadline machinery (when a worker takes
+#: their batch) rather than failed by a stage proper.
 ERROR_STAGES = ("submit", "pack", "ipc", "execute", "resolve", "deadline")
 
 
@@ -330,8 +330,8 @@ class ServiceStats:
     #: per-stage time attribution from the span recorder
     #: (``{stage: {count, total_s, mean_s}}``); empty unless tracing ran
     stages: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: counter/gauge registry snapshot (coalescing, shm backpressure,
-    #: plan compiles, loop timings) — exposition-ready samples
+    #: counter/gauge registry snapshot (shm backpressure, plan compiles,
+    #: loop timings) — exposition-ready samples
     metrics: Tuple[MetricSample, ...] = field(default_factory=tuple)
     #: effective ordered-MAC threads per worker shard (the resolved
     #: per-shard budget every plan runs with; 1 = serial MAC)

@@ -729,9 +729,13 @@ class WorkerPool:
     ----------
     num_workers:
         Shard count.
-    max_batch_size / max_wait_s:
-        Coalescing policy of the per-shard :class:`BatchQueue` (identical
-        for both backends — batching always happens in the parent).
+    max_batch_size:
+        Occupancy cap of the per-shard :class:`BatchQueue` (identical for
+        both backends — batching always happens in the parent).  A shard
+        takes its next batch as soon as it is free — a thread shard once
+        it finishes a batch, a process feeder once it ships one — so a
+        batch fuses what queued while its shard was busy, and no request
+        waits for company.
     cache_capacity / device:
         Per-shard plan-cache sizing and the machine model plans compile
         against.
@@ -800,7 +804,6 @@ class WorkerPool:
         num_workers: int,
         *,
         max_batch_size: int = 8,
-        max_wait_s: float = 0.002,
         cache_capacity: int = 64,
         device: DeviceSpec = A100_80GB_PCIE,
         telemetry: Optional[ServiceTelemetry] = None,
@@ -868,15 +871,9 @@ class WorkerPool:
                 "Worker shards that died without an exit sentinel.",
             )
         self.queues: List[BatchQueue] = [
-            BatchQueue(max_batch_size=max_batch_size, max_wait_s=max_wait_s)
+            BatchQueue(max_batch_size=max_batch_size)
             for _ in range(num_workers)
         ]
-        if metrics is not None:
-            for q in self.queues:
-                q.bind_metrics(metrics)
-        for q in self.queues:
-            # queue-side deadline expiry lands in telemetry through here
-            q.on_expired = self._on_queue_expired
         #: lock-free routing view: indices of shards accepting traffic
         self._alive: Tuple[int, ...] = tuple(range(num_workers))
         if backend == "thread":
@@ -1089,8 +1086,8 @@ class WorkerPool:
         return shard
 
     def _serve_shard(self, shard: int) -> None:
-        """Thread-backend shard loop: serve coalesced batches until the
-        queue is closed and drained."""
+        """Thread-backend shard loop: take the next batch as soon as the
+        last one is served, until the queue is closed and drained."""
         queue = self.queues[shard]
         while True:
             batch = queue.get_batch()
@@ -1216,13 +1213,11 @@ class WorkerPool:
         self._drop_self_references()
 
     def _drop_self_references(self) -> None:
-        """Break the reference cycles a closed pool would otherwise sit
-        in until a cyclic gc pass: each queue's expiry callback and the
-        slab-bytes gauge hold bound references to ``self``.  Runs once
-        every thread that could fire them has been joined; the gauge
-        keeps reading 0, the bytes the unlinked slabs now reserve."""
-        for q in self.queues:
-            q.on_expired = None
+        """Break the reference cycle a closed pool would otherwise sit in
+        until a cyclic gc pass: the slab-bytes gauge's reader closes over
+        ``self``.  Runs once every thread that could read it has been
+        joined; the gauge keeps reading 0, the bytes the unlinked slabs
+        now reserve."""
         if self._slab_gauge is not None:
             self._slab_gauge.set(0.0)
 
@@ -1362,6 +1357,11 @@ class WorkerPool:
 
     def _feed_shard(self, shard: int) -> None:
         """Parent-side shard feeder: coalesced batches -> pure data -> child.
+
+        The feeder takes its next batch as soon as it has shipped the last
+        one, so a batch holds what queued while it was packing and
+        shipping; requests that arrive while the worker computes wait in
+        the worker's task queue, not in the parent.
 
         Futures are registered in the pending table *before* the batch is
         shipped, so the dispatcher can never see a result for an unknown
@@ -2042,10 +2042,6 @@ class WorkerPool:
             and self.telemetry is not None
         ):
             self.telemetry.record_inline_batch()
-
-    def _on_queue_expired(self, expired: List[ServeRequest]) -> None:
-        if self.telemetry is not None:
-            self.telemetry.record_error(expired, stage="deadline")
 
     def _note_fault(self) -> None:
         if self.telemetry is not None:

@@ -596,7 +596,6 @@ def _serve_all(requests, *, mac_threads, backend="thread", workers=2, **kw):
         workers=workers,
         backend=backend,
         max_batch_size=4,
-        max_wait_s=0.001,
         mac_threads=mac_threads,
         **kw,
     ) as svc:

@@ -1,6 +1,5 @@
-"""Batch fusion (`run_batch`) equivalence and coalescing-queue policy."""
+"""Batch fusion (`run_batch`) equivalence and batch-queue policy."""
 
-import threading
 import time
 
 import numpy as np
@@ -91,7 +90,7 @@ def _req(spec, grid_shape, req_id=0, rng=None):
 
 
 def test_queue_coalesces_same_key_only():
-    q = BatchQueue(max_batch_size=8, max_wait_s=0.0)
+    q = BatchQueue(max_batch_size=8)
     heat, blur = named_stencil("heat2d"), named_stencil("blur2d")
     reqs = [
         _req(heat, (16, 16), 0),
@@ -109,7 +108,7 @@ def test_queue_coalesces_same_key_only():
 
 
 def test_queue_respects_max_batch_size():
-    q = BatchQueue(max_batch_size=2, max_wait_s=0.0)
+    q = BatchQueue(max_batch_size=2)
     spec = named_stencil("heat2d")
     for i in range(5):
         q.put(_req(spec, (16, 16), i))
@@ -119,7 +118,7 @@ def test_queue_respects_max_batch_size():
 
 def test_queue_shape_splits_batches():
     """Same spec, different grid shape -> different plan key -> no fusion."""
-    q = BatchQueue(max_batch_size=8, max_wait_s=0.0)
+    q = BatchQueue(max_batch_size=8)
     spec = named_stencil("heat2d")
     q.put(_req(spec, (16, 16), 0))
     q.put(_req(spec, (32, 32), 1))
@@ -127,36 +126,20 @@ def test_queue_shape_splits_batches():
     assert [r.req_id for r in q.get_batch()] == [1]
 
 
-def test_queue_waits_deadline_for_late_arrivals():
-    q = BatchQueue(max_batch_size=4, max_wait_s=0.25)
-    spec = named_stencil("heat2d")
-    q.put(_req(spec, (16, 16), 0))
-
-    def late_producer():
-        time.sleep(0.03)
-        q.put(_req(spec, (16, 16), 1))
-
-    t = threading.Thread(target=late_producer)
-    t.start()
-    batch = q.get_batch()
-    t.join()
-    assert [r.req_id for r in batch] == [0, 1]
-
-
 def test_queue_releases_early_when_full():
-    q = BatchQueue(max_batch_size=2, max_wait_s=60.0)
+    q = BatchQueue(max_batch_size=2)
     spec = named_stencil("heat2d")
     q.put(_req(spec, (16, 16), 0))
     q.put(_req(spec, (16, 16), 1))
     start = time.monotonic()
     batch = q.get_batch()
     assert len(batch) == 2
-    assert time.monotonic() - start < 1.0  # did not sit out the deadline
+    assert time.monotonic() - start < 1.0
 
 
 def test_queue_serves_oldest_head_first_no_starvation():
     """A sustained hot key must not starve a colder key on the shard."""
-    q = BatchQueue(max_batch_size=2, max_wait_s=0.0)
+    q = BatchQueue(max_batch_size=2)
     heat, blur = named_stencil("heat2d"), named_stencil("blur2d")
     # arrival order: A0 A1 B2 A3 A4 — B arrives before A3/A4
     for spec, rid in [(heat, 0), (heat, 1), (blur, 2), (heat, 3), (heat, 4)]:
@@ -167,28 +150,12 @@ def test_queue_serves_oldest_head_first_no_starvation():
     assert batches[2] == [3, 4]
 
 
-def test_queue_full_key_preempts_older_coalescing_window():
-    """A full batch releases immediately even while an older-headed key is
-    still waiting out its coalescing deadline."""
-    q = BatchQueue(max_batch_size=2, max_wait_s=30.0)
-    heat, blur = named_stencil("heat2d"), named_stencil("blur2d")
-    q.put(_req(heat, (16, 16), 0))  # older head, alone in its window
-    q.put(_req(blur, (16, 16), 1))
-    q.put(_req(blur, (16, 16), 2))  # blur is now full
-    start = time.monotonic()
-    first = q.get_batch()
-    assert time.monotonic() - start < 1.0  # did not wait out heat's window
-    assert [r.req_id for r in first] == [1, 2]
-    q.close()
-    assert [r.req_id for r in q.get_batch()] == [0]
-
-
 def test_queue_close_semantics():
-    q = BatchQueue(max_batch_size=4, max_wait_s=10.0)
+    q = BatchQueue(max_batch_size=4)
     spec = named_stencil("heat2d")
     q.put(_req(spec, (16, 16), 0))
     q.close()
-    assert [r.req_id for r in q.get_batch()] == [0]  # drains without waiting
+    assert [r.req_id for r in q.get_batch()] == [0]
     assert q.get_batch() is None
     with pytest.raises(RuntimeError):
         q.put(_req(spec, (16, 16), 1))
@@ -197,8 +164,6 @@ def test_queue_close_semantics():
 def test_queue_parameter_validation():
     with pytest.raises(ValueError):
         BatchQueue(max_batch_size=0)
-    with pytest.raises(ValueError):
-        BatchQueue(max_wait_s=-1.0)
 
 
 def test_request_handle_lifecycle():

@@ -33,7 +33,6 @@ from repro.serve import (
     WorkerCrashed,
     is_transient_failure,
 )
-from repro.serve.faults import REPRO_FAULTS_ENV
 from repro.stencil import Grid, named_stencil
 
 
@@ -55,7 +54,6 @@ def _serve_chaos(spec, grids, *, faults, transport="shm", workers=1,
         backend=backend,
         transport=transport,
         max_batch_size=4,
-        max_wait_s=0.001,
         faults=faults,
         retry_policy=retry_policy,
         trace=trace,
@@ -100,20 +98,6 @@ def test_fault_plan_round_trip(tmp_path):
     assert FaultPlan.coerce(None) is None
     assert not FaultPlan(faults=())
     assert plan
-
-
-def test_fault_plan_env_arming(monkeypatch):
-    plan = FaultPlan(faults=(FaultSpec(kind="fail_batch", at_batch=1),))
-    monkeypatch.delenv(REPRO_FAULTS_ENV, raising=False)
-    assert FaultPlan.from_env() is None
-    monkeypatch.setenv(REPRO_FAULTS_ENV, plan.to_json())
-    assert FaultPlan.from_env() == plan
-    # a service with no explicit plan arms the env plan
-    svc = StencilService(workers=0)
-    try:
-        assert svc.fault_plan == plan
-    finally:
-        svc.close()
 
 
 def test_injector_is_deterministic():
@@ -214,7 +198,7 @@ def test_worker_respawn_serves_subsequent_traffic():
     ref = _reference(spec, grids)
     plan = FaultPlan(faults=(FaultSpec(kind="kill_worker", shard=0, at_batch=2),))
     with StencilService(
-        workers=1, backend="process", max_batch_size=4, max_wait_s=0.001,
+        workers=1, backend="process", max_batch_size=4,
         faults=plan,
     ) as svc:
         for g in grids:
@@ -244,7 +228,7 @@ def test_worker_killed_holding_its_result_queue_lock_is_replaced():
     grids = _grids(n=2)
     ref = _reference(spec, grids)
     with StencilService(
-        workers=1, backend="process", max_batch_size=1, max_wait_s=0.001,
+        workers=1, backend="process", max_batch_size=1,
     ) as svc:
         svc.submit(spec, grids[0]).result(timeout=120)
         result_q = svc._pool._result_qs[0]
@@ -354,7 +338,7 @@ def test_recovery_disabled_fails_fast():
     grids = _grids(n=6)
     plan = FaultPlan(faults=(FaultSpec(kind="kill_worker", shard=0, at_batch=1),))
     with StencilService(
-        workers=1, backend="process", max_batch_size=4, max_wait_s=0.001,
+        workers=1, backend="process", max_batch_size=4,
         faults=plan, retry_policy=RetryPolicy.disabled(),
     ) as svc:
         handles = [svc.submit(spec, g) for g in grids]
@@ -372,35 +356,35 @@ def test_recovery_disabled_fails_fast():
 # ----------------------------------------------------------------------
 
 
-def test_deadline_expires_at_coalescing():
-    spec = named_stencil("heat2d")
+@pytest.mark.parametrize("deadline_from", ["timeout", "default_deadline_s"])
+def test_deadline_expires_while_queued(deadline_from, shard_gate):
+    """A request whose deadline passes while its shard is busy fails with
+    DeadlineExceeded when the shard takes it, and never runs."""
     g = _grids(n=1)[0]
-    with StencilService(
-        workers=1, backend="thread", max_wait_s=5.0, max_batch_size=64
-    ) as svc:
-        h = svc.submit(spec, g, timeout=0.05)
+    service_kw, submit_kw = {}, {}
+    if deadline_from == "timeout":
+        submit_kw["timeout"] = 0.05
+    else:
+        service_kw["default_deadline_s"] = 0.05
+    with StencilService(workers=1, backend="thread", **service_kw) as svc:
+        # park the only shard inside a batch of another plan key
+        busy = svc.submit(named_stencil("blur2d"), g, timeout=60.0)
+        assert shard_gate.entered.wait(60)
+        h = svc.submit(named_stencil("heat2d"), g, **submit_kw)
+        time.sleep(0.1)
+        shard_gate.gate.set()
         with pytest.raises(DeadlineExceeded):
             h.result(timeout=60)
+        assert busy.result(timeout=60).shape == g.shape
         stats = svc.stats()
-    assert stats.telemetry.deadline_expired >= 1
-
-
-def test_default_deadline_applies_service_wide():
-    spec = named_stencil("heat2d")
-    g = _grids(n=1)[0]
-    with StencilService(
-        workers=1, backend="thread", max_wait_s=5.0, max_batch_size=64,
-        default_deadline_s=0.05,
-    ) as svc:
-        h = svc.submit(spec, g)
-        with pytest.raises(DeadlineExceeded):
-            h.result(timeout=60)
+    assert stats.telemetry.deadline_expired == 1
+    assert stats.telemetry.requests == 1
 
 
 def test_deadline_validation_and_unexpired_requests_serve():
     spec = named_stencil("heat2d")
     g = _grids(n=1)[0]
-    with StencilService(workers=1, backend="thread", max_wait_s=0.001) as svc:
+    with StencilService(workers=1, backend="thread") as svc:
         with pytest.raises(ValueError):
             svc.submit(spec, g, timeout=0.0)
         out = svc.submit(spec, g, timeout=60.0).result(timeout=60)
@@ -566,7 +550,7 @@ def test_recovery_counters_reach_report_and_prometheus():
     grids = _grids()
     plan = FaultPlan(faults=(FaultSpec(kind="kill_worker", shard=0, at_batch=2),))
     with StencilService(
-        workers=1, backend="process", max_batch_size=4, max_wait_s=0.001,
+        workers=1, backend="process", max_batch_size=4,
         faults=plan,
     ) as svc:
         for g in grids:

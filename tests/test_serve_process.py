@@ -74,7 +74,6 @@ def _serve(requests, *, backend, precision="exact", workers=2):
         backend=backend,
         precision=precision,
         max_batch_size=4,
-        max_wait_s=0.001,
     ) as svc:
         handles = [svc.submit(spec, grid) for spec, grid in requests]
         svc.drain()
@@ -132,7 +131,7 @@ def test_error_routed_to_future_worker_survives(backend, rng):
 def test_cache_stats_aggregate_across_shards(backend):
     requests = _mixed_request_stream(n_requests=40, seed=3)
     with StencilService(
-        workers=2, backend=backend, max_batch_size=4, max_wait_s=0.001
+        workers=2, backend=backend, max_batch_size=4
     ) as svc:
         for spec, grid in requests:
             svc.submit(spec, grid)
@@ -158,7 +157,7 @@ def test_cache_stats_aggregate_across_shards(backend):
 def test_requests_submitted_before_close_complete(backend, rng):
     spec = named_stencil("blur2d")
     svc = StencilService(
-        workers=2, backend=backend, max_batch_size=8, max_wait_s=0.05
+        workers=2, backend=backend, max_batch_size=8
     )
     handles = [
         svc.submit(spec, Grid.random((20, 20), rng)) for _ in range(24)
@@ -195,7 +194,7 @@ def test_pool_submit_after_close_raises(backend, rng):
 
 
 def test_no_orphaned_worker_processes(rng):
-    pool = WorkerPool(2, backend="process", max_wait_s=0.001)
+    pool = WorkerPool(2, backend="process")
     spec = named_stencil("heat2d")
     reqs = []
     for i in range(6):
@@ -227,7 +226,6 @@ def test_dead_worker_fails_futures_instead_of_hanging(rng):
     pool = WorkerPool(
         1,
         backend="process",
-        max_wait_s=10.0,
         retry_policy=RetryPolicy.disabled(),
     )
     spec = named_stencil("heat2d")
@@ -235,8 +233,8 @@ def test_dead_worker_fails_futures_instead_of_hanging(rng):
     req = ServeRequest(
         0, spec, grid, plan_key_for(spec, grid_shape=grid.shape), 0.0
     )
-    # a huge coalescing window keeps the request parked in the parent
-    # until close(); kill the worker before it can ever serve the batch
+    # kill the worker before it can ever serve the batch: the request
+    # ships to the dead worker, and the death sweep fails it
     pool.workers[0].terminate()
     pool.workers[0].join()
     pool.submit(req)
@@ -254,7 +252,6 @@ def test_submit_to_reaped_dead_shard_raises(rng):
     pool = WorkerPool(
         1,
         backend="process",
-        max_wait_s=0.001,
         retry_policy=RetryPolicy.disabled(),
     )
     spec = named_stencil("heat2d")

@@ -59,8 +59,9 @@ def test_sync_fallback_accepts_raw_arrays(rng):
 
 def test_sync_path_shared_by_threads_matches_single_caller(rng):
     """Caller threads sharing the sync path's plan cache get the bytes a
-    single caller gets: a plan's executor serves one batch at a time, so
-    concurrent callers never overwrite each other's workspace."""
+    single caller gets: they share the service's one sync runner and take
+    turns on its lock, so concurrent callers never overwrite each other's
+    workspace."""
     spec = named_stencil("heat2d")
     grids = [Grid.random((64, 64), rng) for _ in range(4)]
     with StencilService(workers=0, mac_threads=1) as svc:
@@ -118,7 +119,7 @@ def test_threaded_results_match_reference():
     wls = serving_workloads(seed=5)
     reqs = list(closed_loop_stream(wls, 120, seed=6))
     refs = _reference_outputs(reqs)
-    with StencilService(workers=4, max_batch_size=8, max_wait_s=0.002) as svc:
+    with StencilService(workers=4, max_batch_size=8) as svc:
         handles = svc.submit_many((r.spec, r.grid) for r in reqs)
         svc.drain(timeout=120)
         st = svc.stats()
@@ -129,12 +130,16 @@ def test_threaded_results_match_reference():
     assert st.inflight == 0
 
 
-def test_batching_actually_fuses():
+def test_batching_actually_fuses(shard_gate):
     spec = named_stencil("heat2d")
     rng = np.random.default_rng(0)
     grids = [Grid.random((16, 16), rng) for _ in range(32)]
-    with StencilService(workers=1, max_batch_size=8, max_wait_s=0.2) as svc:
-        svc.submit_many((spec, g) for g in grids)
+    with StencilService(workers=1, max_batch_size=8) as svc:
+        # the burst queues while the only shard is held in the first batch
+        svc.submit(spec, grids[0])
+        assert shard_gate.entered.wait(60)
+        svc.submit_many((spec, g) for g in grids[1:])
+        shard_gate.gate.set()
         svc.drain(timeout=120)
         st = svc.stats()
     # a burst of 32 same-spec requests must not run as 32 singletons
@@ -143,17 +148,34 @@ def test_batching_actually_fuses():
     assert st.telemetry.occupancy["max"] == 8.0
 
 
-def test_batched_results_do_not_pin_the_fused_batch_array():
+def test_batched_results_do_not_pin_the_fused_batch_array(shard_gate):
     spec = named_stencil("heat2d")
     rng = np.random.default_rng(1)
-    grids = [Grid.random((16, 16), rng) for _ in range(8)]
-    with StencilService(workers=1, max_batch_size=8, max_wait_s=0.2) as svc:
-        handles = svc.submit_many((spec, g) for g in grids)
+    grids = [Grid.random((16, 16), rng) for _ in range(9)]
+    with StencilService(workers=1, max_batch_size=8) as svc:
+        svc.submit(spec, grids[0])  # holds the only shard
+        assert shard_gate.entered.wait(60)
+        handles = svc.submit_many((spec, g) for g in grids[1:])
+        shard_gate.gate.set()
         svc.drain(timeout=120)
         assert svc.stats().telemetry.occupancy["max"] == 8.0  # fused
     for h in handles:
         out = h.result()
         assert out.base is None  # owns its data, not a view of the batch
+
+
+def test_idle_shard_serves_a_lone_request_without_waiting():
+    """An idle worker takes a request as soon as it arrives: nothing holds
+    a lone request back to wait for others to batch with."""
+    spec = named_stencil("heat2d")
+    rng = np.random.default_rng(2)
+    with StencilService(workers=1, backend="thread") as svc:
+        waits = []
+        for _ in range(20):
+            h = svc.submit(spec, Grid.random((16, 16), rng))
+            h.result(timeout=60)
+            waits.append(h.queue_wait_s)
+    assert float(np.median(waits)) < 1e-3, waits
 
 
 def test_inflight_sweep_does_not_retain_behind_slow_head():
@@ -172,7 +194,7 @@ def test_inflight_sweep_does_not_retain_behind_slow_head():
 def test_spec_affinity_keeps_worker_caches_disjoint():
     wls = serving_workloads(seed=5)
     reqs = list(closed_loop_stream(wls, 200, seed=8))
-    with StencilService(workers=4, max_batch_size=8, max_wait_s=0.002) as svc:
+    with StencilService(workers=4, max_batch_size=8) as svc:
         svc.submit_many((r.spec, r.grid) for r in reqs)
         svc.drain(timeout=120)
         st = svc.stats()
@@ -233,7 +255,7 @@ def test_thousand_mixed_requests_bit_identical_and_cached():
     )
     reqs = list(closed_loop_stream(wls, 1000, seed=12))
     refs = _reference_outputs(reqs)
-    with StencilService(workers=4, max_batch_size=8, max_wait_s=0.002) as svc:
+    with StencilService(workers=4, max_batch_size=8) as svc:
         handles = svc.submit_many((r.spec, r.grid) for r in reqs)
         svc.drain(timeout=600)
         st = svc.stats()

@@ -89,7 +89,6 @@ def _serve(requests, *, backend, transport="shm", precision="exact",
         workers=workers,
         precision=precision,
         max_batch_size=4,
-        max_wait_s=0.001,
         **svc_kw,
         **kw,
     ) as svc:
@@ -168,7 +167,7 @@ def test_oversized_grid_falls_back_to_queue_payload(rng):
         slab_initial_bytes=8 << 10,
         slab_max_bytes=16 << 10,
     )
-    pool = WorkerPool(1, max_wait_s=0.001, **pool_kw)
+    pool = WorkerPool(1, **pool_kw)
     try:
         req = ServeRequest(
             0,
@@ -203,7 +202,6 @@ def test_transport_directions_degrade_independently(rng):
         slab_initial_bytes=12 << 10,
         slab_max_bytes=12 << 10,
         max_batch_size=1,
-        max_wait_s=0.001,
         telemetry=telemetry,
     )
     try:
@@ -244,7 +242,6 @@ def test_slab_grows_geometrically_and_reports_bytes(rng):
         slab_initial_bytes=4 << 10,  # one 22x22 f64 grid is ~3.9 KiB
         slab_max_bytes=4 << 20,
         max_batch_size=8,
-        max_wait_s=0.005,
     )
     try:
         initial = pool.slab_nbytes(0)
@@ -420,8 +417,7 @@ def _pool_segment_names(pool):
 
 def test_no_leaked_segments_after_close(rng):
     spec = named_stencil("heat2d")
-    pool = WorkerPool(2, backend="process", transport="shm",
-                      max_wait_s=0.001)
+    pool = WorkerPool(2, backend="process", transport="shm")
     reqs = []
     for i in range(8):
         grid = Grid.random((14, 14), rng)
@@ -451,12 +447,12 @@ def test_no_leaked_segments_after_worker_kill(rng):
     request is served anyway (retry / inline fallback)."""
     spec = named_stencil("heat2d")
     before = set(os.listdir("/dev/shm"))
-    pool = WorkerPool(1, backend="process", transport="shm",
-                      max_wait_s=10.0)
+    pool = WorkerPool(1, backend="process", transport="shm")
     grid = Grid.random((12, 12), rng)
     req = ServeRequest(
         0, spec, grid, plan_key_for(spec, grid_shape=grid.shape), 0.0
     )
+    # the request ships to the dead worker; the death sweep re-places it
     pool.workers[0].terminate()
     pool.workers[0].join()
     pool.submit(req)

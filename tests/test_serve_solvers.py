@@ -40,7 +40,7 @@ def _service_kwargs(backend):
     if backend == "sync":
         return dict(workers=0)
     return dict(
-        workers=2, backend=backend, max_batch_size=4, max_wait_s=0.001
+        workers=2, backend=backend, max_batch_size=4
     )
 
 

@@ -87,7 +87,6 @@ def test_steps_byte_identical_to_roundtrips(backend, workers, precision):
         backend=backend,
         precision=precision,
         max_batch_size=4,
-        max_wait_s=0.001,
     ) as svc:
         fused = [
             svc.submit(spec, grid.copy(), steps=steps)
@@ -112,7 +111,7 @@ def test_super_sweep_identity_survives_worker_count():
     outs = {}
     for backend, workers in (("thread", 1), ("thread", 3), ("process", 2)):
         with StencilService(
-            workers=workers, backend=backend, max_wait_s=0.001
+            workers=workers, backend=backend
         ) as svc:
             handles = [
                 svc.submit(spec, grid.copy(), steps=steps)
@@ -135,7 +134,7 @@ def test_distinct_steps_never_share_a_batch(rng):
     """Requests differing only in ``steps`` must coalesce separately."""
     spec = named_stencil("heat2d")
     grid = Grid.random((12, 12), rng)
-    q = BatchQueue(max_batch_size=8, max_wait_s=0.0)
+    q = BatchQueue(max_batch_size=8)
     reqs = []
     for i, steps in enumerate([1, 2, 1, 2, 3]):
         key = plan_key_for(spec, grid_shape=grid.shape, steps=steps)
@@ -172,7 +171,7 @@ def test_submit_validates_steps(rng):
 
 def test_telemetry_counts_sweeps(rng):
     spec = named_stencil("heat2d")
-    with StencilService(workers=2, max_wait_s=0.001) as svc:
+    with StencilService(workers=2) as svc:
         for steps in (1, 2, 5):
             svc.submit(spec, Grid.random((12, 12), rng), steps=steps)
         svc.drain(timeout=120)

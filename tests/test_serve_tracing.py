@@ -44,7 +44,6 @@ def _serve_traced(backend, transport=None, n=8, steps=3):
         workers=0 if backend == "sync" else 2,
         backend=backend,
         max_batch_size=4,
-        max_wait_s=0.001,
         trace=True,
         **kwargs,
     ) as svc:
@@ -244,7 +243,6 @@ with StencilService(
     backend="process",
     transport="{transport}",
     max_batch_size=4,
-    max_wait_s=0.001,
     trace=True,
 ) as svc:
     reqs = [
@@ -303,18 +301,18 @@ def test_trace_propagation_under_start_method(start_method, transport):
 # ----------------------------------------------------------------------
 
 
-def test_execute_errors_are_stage_tagged():
+def test_execute_errors_are_stage_tagged(shard_gate):
     rng = np.random.default_rng(2)
     spec = named_stencil("heat2d")
-    with StencilService(
-        workers=1, backend="thread", max_wait_s=0.05, trace=True
-    ) as svc:
+    with StencilService(workers=1, backend="thread", trace=True) as svc:
         ok = svc.submit(spec, Grid.random((12, 12), rng))
-        assert ok.result() is not None
-        # force an executor failure by corrupting the request post-submit
-        # (a None grid blows up inside execute_serve_batch, not pack)
+        assert shard_gate.entered.wait(60)  # the only shard is held
+        # force an executor failure by corrupting the request while it
+        # queues (a None grid blows up inside execute_serve_batch, not pack)
         bad = svc.submit(spec, Grid.random((12, 12), rng))
         bad.grid = None
+        shard_gate.gate.set()
+        assert ok.result() is not None
         svc.drain()
         stats = svc.stats()
     with pytest.raises(Exception):
