@@ -1,14 +1,14 @@
-"""Multi-threaded ordered MAC benchmark: threads=1 vs threads=cores.
+"""Range-parallel fused sweep benchmark: threads=1 vs threads=cores.
 
 With fused-K GEMM, temporal fusion and the shm transport landed, the
-single-threaded ordered einsum MAC is the dominant term in batch service
-time.  The MAC is column-parallel with bit-identical results by
-construction — each column block of ``K_all @ X`` has an independent
-per-element reduction — so spreading blocks over a runner's
-:class:`~repro.sptc.macpool.MacThreadPool` buys wall-clock without
-touching a single bit.  This benchmark measures, on one MAC-dominated
-configuration (2D r=2 box, grid large enough that every line block
-clears the serial column threshold):
+ordered einsum MAC is the dominant term in batch service time.  The
+executor threads a sweep by output range — each thread runs gather,
+GEMM, add and store for its own leading-axis planes as one task of a
+runner's :class:`~repro.sptc.macpool.MacThreadPool` — with bit-identical
+results by construction, since every output element is reduced in a
+fixed order inside the one range that owns it.  This benchmark
+measures, on one MAC-dominated configuration (2D r=2 box, grid large
+enough to split into ranges):
 
 * **single-request sweep throughput** of one executor on a
   ``SweepRunner(1)`` vs a ``SweepRunner(cores)`` — the acceptance gate
@@ -211,7 +211,7 @@ def test_mac_threads_speedup(report):
             doc = retry
     append_bench_record(doc)
     report(
-        "Ordered MAC: serial vs column-block threaded",
+        "Fused sweep: serial vs range-parallel",
         json.dumps(doc, indent=2),
     )
     assert doc["bit_identical_on_measured_traffic"]

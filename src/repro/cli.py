@@ -320,8 +320,8 @@ def _cmd_trace(args) -> int:
     gemm = totals.get("mac.gemm")
     mac_line = f"  {'mac threads':<16} {stats.mac_threads} per shard"
     if gemm is not None and stats.telemetry.batches:
-        # >1 gemm blocks/batch means the MAC actually spread over its
-        # thread budget on this box (one span per column block)
+        # one span per column block of each output range: blocks/batch
+        # counts GEMM calls, not threads (a serial sweep issues many)
         mac_line += (
             f" ({gemm['count'] / stats.telemetry.batches:.1f} gemm "
             f"blocks/batch, {gemm['total_s'] * 1e3:.2f} ms total)"

@@ -8,10 +8,13 @@ Three execution paths:
   :class:`repro.sptc.fused.FusedStencilOperator`), and a sweep is one
   windowing pass over the padded input plus one ``K_all @ X`` GEMM per
   line chunk — instead of one line-gather, one windowing pass and one GEMM
-  *per kernel row*.  The executor itself is immutable compiled data; all
-  large buffers and the MAC thread pool belong to the caller's
-  :class:`SweepRunner`, whose workspace arena is reused across calls, so
-  steady-state serving performs zero large allocations.
+  *per kernel row*.  A large sweep is threaded by output range: after the
+  pad, each thread runs the gather, GEMM, accumulate and store of its own
+  leading-axis planes (1D: chunks of the line) as one task.  The executor
+  itself is immutable compiled data; all large buffers and the MAC thread
+  pool belong to the caller's :class:`SweepRunner`, whose workspace arena
+  is reused across calls, so steady-state serving performs zero large
+  allocations.
 * ``._reference_run()`` — the original per-row fast path, kept verbatim in
   structure (per-row line gather, windowing, GEMM, accumulate) as the
   equivalence oracle the fused path is tested bit-identical against.
@@ -33,14 +36,14 @@ contributions in ascending row order ``q``; the fused MAC is a strictly
 ordered einsum kernel (never the platform BLAS, whose per-element
 reduction order changes with call shape — see
 :mod:`repro.sptc.fused`), so fused and per-row execution are bit-identical
-by construction, independent of batch size, grid shape and line-block
-boundaries.  Under ``precision="fp16"`` both paths accumulate in float32
-**from the start** (the MAC dtype); earlier revisions accumulated in
-float64 and rounded once at the end, which differed from pure float32
-accumulation by up to one ulp per element and forced an extra full-array
-``astype`` round-trip.  Results are compared with ``np.array_equal``
-(``==``) semantics: dropping structurally-zero terms can flip the sign of
-an all-zero output, never a value.
+by construction, independent of batch size, grid shape, thread count and
+line-block boundaries.  Under ``precision="fp16"`` both paths accumulate
+in float32 **from the start** (the MAC dtype); earlier revisions
+accumulated in float64 and rounded once at the end, which differed from
+pure float32 accumulation by up to one ulp per element and forced an
+extra full-array ``astype`` round-trip.  Results are compared with
+``np.array_equal`` (``==``) semantics: dropping structurally-zero terms
+can flip the sign of an all-zero output, never a value.
 """
 
 from __future__ import annotations
@@ -157,7 +160,7 @@ class _PlanWorkspace:
     thrash the arena).  A :class:`SweepRunner` keeps a small LRU of
     workspaces per executor so steady-state serving (same plan, same
     shapes) never allocates grid-sized arrays per call.  Everything here
-    is a pure function of the geometry:
+    is a pure function of the geometry and the runner's thread count:
 
     * ``padded`` — the stacked, halo-padded input buffer, one row per
       padded *line* (last-axis vector), right-extended with the structural
@@ -165,13 +168,16 @@ class _PlanWorkspace:
     * ``poffs`` — each kernel row's flat padded-line offset: row ``q``
       of the output anchored at padded line ``a`` reads padded line
       ``a + poffs[q]``;
-    * ``x*`` / ``y`` — flat GEMM staging buffers, viewed at the current
-      line-block's size;
-    * ``acc`` — the flat output accumulator in the MAC dtype, viewed per
-      sweep as ``(L, n_pad_lines * chunks)``: lane-major like the GEMM
-      output and indexed by padded line, so a grid's interior lines sit
-      at their padded anchors and halo-position lines are computed but
-      never stored.
+    * ``x*`` / ``y`` — flat GEMM staging buffers of ``cols`` columns,
+      one slice per thread: each output range walks its sources in
+      sub-blocks that fit its slice;
+    * ``acc`` — the flat output accumulator in the MAC dtype, one cell
+      per chunk of each padded line, in padded-line order; each output
+      range views the cells of its own planes as one contiguous
+      ``(L, cells)`` block, lane-major like the GEMM output, so a grid's
+      interior lines sit at their padded anchors.  Halo-position anchors
+      are never stored, and a grid's trailing halo planes are never
+      computed.
     """
 
     __slots__ = (
@@ -184,7 +190,7 @@ class _PlanWorkspace:
         "chunks_ext",
         "pad_lines_per_grid",
         "n_pad_lines",
-        "blk",
+        "cols",
         "poffs",
         "padded",
         "x_flat",
@@ -206,6 +212,7 @@ class _PlanWorkspace:
         m_active: int,
         lead_offset_table: Sequence[Tuple[int, ...]],
         batch_rows: int,
+        threads: int,
         acc_dtype: type,
         fp16: bool,
     ) -> None:
@@ -226,7 +233,22 @@ class _PlanWorkspace:
             int(np.prod(self.pad_lead)) if self.pad_lead else 1
         )
         self.n_pad_lines = batch * self.pad_lines_per_grid
-        self.blk = min(batch_rows, self.n_pad_lines)
+        # one x / y slice per thread: its share of a `batch_rows`-line
+        # block, but at least two GEMM column blocks (or the whole block),
+        # since smaller numpy calls lose more to GIL hand-offs between
+        # threads than they gain; in 2D/3D always whole lines
+        blk = min(batch_rows, self.n_pad_lines)
+        min_cols = 2 * FusedStencilOperator.COL_BLOCK
+        if lead_shape:
+            lines = max(
+                -(-blk // threads), min(blk, -(-min_cols // self.chunks))
+            )
+            task_cols = lines * self.chunks
+        else:
+            cells = blk * self.chunks
+            task_cols = max(-(-cells // threads), min(cells, min_cols))
+        # the ordered GEMM kernel needs >= 2 columns (see FusedStencilOperator)
+        self.cols = threads * max(task_cols, 2)
 
         # flat padded-line offset of each kernel row's leading offsets
         # (strictly ascending in q: row-major offsets within one halo)
@@ -242,17 +264,16 @@ class _PlanWorkspace:
         )
 
         self.padded = np.empty((self.n_pad_lines, self.chunks_ext * L))
-        # the ordered GEMM kernel needs >= 2 columns (see FusedStencilOperator)
-        cells = max(self.blk * self.chunks, 2)
+        x_size = n_x_rows * self.cols
         if fp16:
             self.x_flat = None
-            self.x16_flat = np.empty(n_x_rows * cells, dtype=np.float16)
-            self.x32_flat = np.empty(n_x_rows * cells, dtype=np.float32)
+            self.x16_flat = np.empty(x_size, dtype=np.float16)
+            self.x32_flat = np.empty(x_size, dtype=np.float32)
         else:
-            self.x_flat = np.empty(n_x_rows * cells)
+            self.x_flat = np.empty(x_size)
             self.x16_flat = None
             self.x32_flat = None
-        self.y_flat = np.empty(m_active * cells, dtype=acc_dtype)
+        self.y_flat = np.empty(m_active * self.cols, dtype=acc_dtype)
         self.acc = np.empty(
             L * self.n_pad_lines * self.chunks, dtype=acc_dtype
         )
@@ -286,7 +307,7 @@ class SweepRunner:
       shapes, held in a :class:`weakref.WeakKeyDictionary`: a plan's
       scratch goes when the plan goes, so nothing has to be released;
     * the :class:`~repro.sptc.macpool.MacThreadPool` — created lazily on
-      the first parallel stage and stopped by :meth:`close`.  A closed
+      the first parallel dispatch and stopped by :meth:`close`.  A closed
       runner that sweeps again starts a new pool.
 
     Runners never cross a process boundary: a process builds its own.
@@ -329,9 +350,9 @@ class SweepRunner:
     ) -> None:
         """Run order-free tasks on the MAC pool (or inline when serial).
 
-        The executor gives the pad, gather and add stages the same
-        disjoint-slice treatment as the MAC's column blocks — tasks must
-        write to disjoint destinations.
+        The executor dispatches the per-grid pads of a large batch and
+        the output ranges of a large sweep here, one call each; tasks
+        must write to disjoint destinations.
         """
         if self.threads > 1 and len(tasks) > 1:
             self.pool().run(fn, tasks)
@@ -355,7 +376,9 @@ class SweepRunner:
                 arena = self._arenas[ex] = OrderedDict()
             ws = arena.get(shape)
             if ws is None or ws.batch < batch:
-                ws = arena[shape] = ex._new_workspace(batch, shape)
+                ws = arena[shape] = ex._new_workspace(
+                    batch, shape, self.threads
+                )
                 self._workspace_builds += 1
                 while len(arena) > self.MAX_WORKSPACES:
                     arena.popitem(last=False)
@@ -433,11 +456,6 @@ class SpiderExecutor:
     #: per-grid padded-element floor below which batch padding stays
     #: serial (a small pad loop is cheaper than pool dispatch)
     PAD_PARALLEL_MIN = 1 << 15
-
-    #: per-block element floor below which the X-row gather
-    #: (``n_x_rows * cells`` written) and the accumulator add (``L`` times
-    #: its cell range written) stay serial
-    GATHER_PARALLEL_MIN = 1 << 16
 
     def __init__(
         self,
@@ -662,10 +680,11 @@ class SpiderExecutor:
         return grids, shape
 
     def _new_workspace(
-        self, batch: int, shape: Tuple[int, ...]
+        self, batch: int, shape: Tuple[int, ...], threads: int
     ) -> _PlanWorkspace:
-        """A fresh workspace for ``batch`` grids of ``shape`` (the
-        runner's arena calls this on a miss or a larger batch)."""
+        """A fresh workspace for ``batch`` grids of ``shape`` swept on
+        ``threads`` (the runner's arena calls this on a miss or a larger
+        batch)."""
         return _PlanWorkspace(
             batch,
             shape,
@@ -676,6 +695,7 @@ class SpiderExecutor:
             m_active=self._fused.m_active,
             lead_offset_table=self._lead_offset_table,
             batch_rows=self.batch_rows,
+            threads=threads,
             acc_dtype=self.acc_dtype,
             fp16=self.precision == MmaPrecision.FP16,
         )
@@ -715,17 +735,26 @@ class SpiderExecutor:
         self-assignment numpy skips).  ``pad_mode="center"`` rewrites only
         the interior of the padded buffer, relying on halos a previous
         ZERO-BC sweep already zeroed.  The caller holds ``runner.lock``.
+
+        After the pad, the sweep is cut into output ranges of the units
+        the store reads: leading-axis planes of each grid (1D: chunks of
+        the line).  A sweep of at least ``COL_BLOCK`` cells gets
+        ``min(runner.threads, units)`` ranges, a smaller one a single
+        range.  Each range runs gather → ordered GEMM → ascending-q add →
+        store as one task of one :meth:`SweepRunner.map_tasks` call, in
+        its own slice of the workspace's x / y buffers; it recomputes the
+        GEMM columns its last anchors read past its end rather than share
+        them, so no task waits for another.
         """
         B = len(sources)
         hook = _STAGE_HOOK
         emit = hook() if hook is not None else None
         ws = runner.workspace(self, B, shape)
-        threads = runner.threads
         op = self._fused
         L = self.L
         chunks = ws.chunks
         fp16 = self.precision == MmaPrecision.FP16
-        n_x = op.n_x_rows
+        n_x, m_act = op.n_x_rows, op.m_active
         # the workspace is sized for its largest batch so far; this call's
         # batch runs in leading-dim prefix views of the same buffers
         n_pad_lines = B * ws.pad_lines_per_grid
@@ -753,7 +782,7 @@ class SpiderExecutor:
                 self._pad_into(data, bc, padded_grids[b])
 
         if (
-            threads > 1
+            runner.threads > 1
             and B >= 2
             and padded_grids[0].size >= self.PAD_PARALLEL_MIN
         ):
@@ -767,134 +796,153 @@ class SpiderExecutor:
         # so swapped X row i is the strided slice [:, sh_i : sh_i+chunks, t_i]
         padded_lanes = padded2d.reshape(n_pad_lines, ws.chunks_ext, L)
 
-        # the accumulator as (lane, cell), cell e = a * chunks + c being
-        # chunk c of the output anchored at padded line a: the layout of
-        # the GEMM's y rows (m = row * L + lane), so active row q adds its
-        # block output with one shifted slice, coffs[q] cells back.
-        # Output cell e takes row q from source cell e + coffs[q] (padded
-        # line a + poffs[q]), which rises with q, and blocks run in
-        # ascending padded line; so row q's term lands in an earlier
-        # block than row q+1's or in the same one, where add_rows adds
-        # rows in ascending q.  Tasks own disjoint cell ranges, so every
-        # element still sums its rows in ascending q — the numerics
-        # contract — for any thread count, batch size and batch_rows.
-        acc = ws.acc[: L * n_pad_lines * chunks].reshape(
-            L, n_pad_lines * chunks
-        )
-        acc[...] = 0
+        # output cell e = a * chunks + c is chunk c of the output anchored
+        # at padded line a; active row q reads source cell e + coffs[q]
         coffs = [ws.poffs[q] * chunks for q in op.active_kernel_rows]
-        for p0 in range(0, n_pad_lines, ws.blk):
-            p1 = min(p0 + ws.blk, n_pad_lines)
-            pl = p1 - p0
-            block = padded_lanes[p0:p1]
-            if emit is not None:
-                t_gather = time.monotonic()
-            cells = pl * chunks
-            # einsum's ordered kernel needs >= 2 columns; pad with zeros
-            # (slicing back to `cells` is a view: the pad sits at the end)
-            n_exec = max(cells, 2)
-            gather_parallel = (
-                threads > 1
-                and n_x >= 2
-                and n_x * cells >= self.GATHER_PARALLEL_MIN
+        n_cells = n_pad_lines * chunks
+
+        # output units: each grid's first `stored` of `per_grid` units,
+        # `unit` anchor cells apiece
+        lead = ws.lead_shape
+        if lead:
+            per_grid, stored = ws.pad_lead[0], lead[0]
+            unit_shape = ws.pad_lead[1:] + (chunks,)
+        else:
+            per_grid = stored = chunks
+            unit_shape = ()
+        unit = math.prod(unit_shape)
+        n_units = B * stored
+        n_ranges = (
+            min(runner.threads, n_units) if n_cells >= op.COL_BLOCK else 1
+        )
+        cols = ws.cols // n_ranges  # each range's slice of x / y
+        inner = tuple(slice(0, s) for s in lead[1:])
+        store_in_task = dest is not None
+        # GEMM columns issued per range; this thread records their sum in
+        # the instruction stream, whose counters take no lock
+        gemm_cols = [0] * n_ranges
+
+        def span(u0: int, u1: int) -> Tuple[int, int, np.ndarray]:
+            """Padded units [pu0, pu1) holding stored units [u0, u1), and
+            their accumulator: ``ws.acc`` cells of those units, laid out
+            (lane, cell) like the GEMM's y rows (m = row * L + lane) and
+            contiguous per range, so its slices add at numpy's fast path.
+            """
+            pu0 = u0 // stored * per_grid + u0 % stored
+            pu1 = (u1 - 1) // stored * per_grid + (u1 - 1) % stored + 1
+            acc = ws.acc[L * pu0 * unit : L * pu1 * unit]
+            return pu0, pu1, acc.reshape(L, (pu1 - pu0) * unit)
+
+        def sweep_range(k: int, u0: int, u1: int) -> None:
+            pu0, pu1, acc = span(u0, u1)
+            lo, hi = pu0 * unit, pu1 * unit
+            acc[...] = 0
+            # output cell e takes row q from source cell e + coffs[q],
+            # which rises with q; sub-blocks walk the sources in ascending
+            # order, so row q's term lands in an earlier sub-block than
+            # row q+1's or in the same one, where rows add in ascending
+            # q.  Ranges own disjoint anchor cells, so every element
+            # still sums its rows in ascending q — the numerics contract
+            # — for any thread count, batch size and batch_rows.  (Rows
+            # past the buffer feed only halo-position anchors; an
+            # operator with no active rows leaves the range zero.)
+            s, s_end = (
+                (lo + coffs[0], min(hi + coffs[-1], n_cells))
+                if coffs
+                else (0, 0)
             )
-            if fp16:
-                x16 = ws.x16_flat[: n_x * n_exec].reshape(n_x, n_exec)
-                if n_exec > cells:
-                    x16[:, cells:] = 0
-                x3 = x16[:, :cells].reshape(n_x, pl, chunks)
-            else:
-                x2 = ws.x_flat[: n_x * n_exec].reshape(n_x, n_exec)
+            xs = (ws.x16_flat if fp16 else ws.x_flat)[k * n_x * cols :]
+            ys = ws.y_flat[k * m_act * cols :]
+            while s < s_end:
+                if emit is not None:
+                    t_gather = time.monotonic()
+                p0, c0 = divmod(s, chunks)
+                take = min(cols, s_end - s)
+                if c0 == 0 and take >= chunks:  # whole lines (2D, 3D)
+                    nl, cw = take // chunks, chunks
+                else:  # a run of one 1D line's chunks
+                    nl, cw = 1, min(take, chunks - c0)
+                cells = nl * cw
+                # einsum's ordered kernel needs >= 2 columns; pad with
+                # zeros (slicing back to `cells` is a view)
+                n_exec = max(cells, 2)
+                x2 = xs[: n_x * n_exec].reshape(n_x, n_exec)
                 if n_exec > cells:
                     x2[:, cells:] = 0
-                x3 = x2[:, :cells].reshape(n_x, pl, chunks)
-
-            # each compact X row is a disjoint strided copy, so row
-            # ranges spread over the MAC pool when the gather is large
-            def gather_rows(i0: int, i1: int) -> None:
-                for i in range(i0, i1):
-                    sh, t = op.x_row_shift[i], op.x_row_lane[i]
-                    np.copyto(x3[i], block[:, sh : sh + chunks, t])
-
-            if gather_parallel:
-                runner.map_tasks(gather_rows, split_ranges(n_x, 2 * threads))
-            else:
-                gather_rows(0, n_x)
-            if fp16:
-                x32 = ws.x32_flat[: n_x * n_exec].reshape(n_x, n_exec)
-                np.copyto(x32, x16)
-                x2 = x32
-            y2 = ws.y_flat[: op.m_active * n_exec].reshape(
-                op.m_active, n_exec
-            )
-            if emit is not None:
-                t_gemm = time.monotonic()
-                emit("mac.gather", t_gather, t_gemm - t_gather)
-            # the operator emits one mac.gemm span per column block
-            # itself (from whichever pool thread ran the block)
-            op.execute(
-                x2, out=y2, stream=self.stream, emit=emit, runner=runner
-            )
-            if emit is not None:
-                t_scatter = time.monotonic()
-            if coffs:
-                # this block's source cells [c0, c0 + cells) feed output
-                # cells [lo, hi): row q's slice lands coffs[q] cells back
-                c0 = p0 * chunks
-                lo = max(0, c0 - coffs[-1])
-                hi = c0 + cells - coffs[0]
-
-                def add_rows(e0: int, e1: int) -> None:
-                    for qi, off in enumerate(coffs):
-                        s0 = max(e0, c0 - off)
-                        s1 = min(e1, c0 + cells - off)
-                        if s0 < s1:
-                            acc[:, s0:s1] += y2[
-                                qi * L : (qi + 1) * L,
-                                s0 + off - c0 : s1 + off - c0,
-                            ]
-
-                # one task per thread: each task's numpy calls are GIL
-                # hand-offs, so fewer, larger slices thread better
-                if threads > 1 and L * (hi - lo) >= self.GATHER_PARALLEL_MIN:
-                    runner.map_tasks(
-                        add_rows,
-                        [
-                            (lo + e0, lo + e1)
-                            for e0, e1 in split_ranges(hi - lo, threads)
-                        ],
+                x3 = x2[:, :cells].reshape(n_x, nl, cw)
+                block = padded_lanes[p0 : p0 + nl]
+                for i, (sh, t) in enumerate(op.x_row_taps):
+                    np.copyto(x3[i], block[:, c0 + sh : c0 + sh + cw, t])
+                if fp16:
+                    x32 = ws.x32_flat[k * n_x * cols :][: n_x * n_exec]
+                    x32 = x32.reshape(n_x, n_exec)
+                    np.copyto(x32, x2)
+                    x2 = x32
+                y2 = ys[: m_act * n_exec].reshape(m_act, n_exec)
+                if emit is not None:
+                    t_gemm = time.monotonic()
+                    emit("mac.gather", t_gather, t_gemm - t_gather)
+                # the operator emits one mac.gemm span per column block
+                op.execute(x2, out=y2, emit=emit)
+                gemm_cols[k] += n_exec
+                if emit is not None:
+                    t_scatter = time.monotonic()
+                for qi, off in enumerate(coffs):
+                    e0, e1 = max(lo, s - off), min(hi, s + cells - off)
+                    if e0 < e1:
+                        acc[:, e0 - lo : e1 - lo] += y2[
+                            qi * L : (qi + 1) * L, e0 + off - s : e1 + off - s
+                        ]
+                if emit is not None:
+                    emit(
+                        "mac.scatter", t_scatter, time.monotonic() - t_scatter
                     )
-                elif hi > lo:
-                    add_rows(lo, hi)
-            if emit is not None:
-                emit(
-                    "mac.scatter", t_scatter, time.monotonic() - t_scatter
-                )
+                s += cells
+            if store_in_task:
+                store_range(u0, u1)
 
-        if emit is not None:
-            t_store = time.monotonic()
+        def store_range(u0: int, u1: int) -> None:
+            if emit is not None:
+                t_store = time.monotonic()
+            pu0, pu1, acc = span(u0, u1)
+            acc_units = acc.reshape((L, pu1 - pu0) + unit_shape)
+            # the lane transpose: (L, units, *inner, chunks) anchors of
+            # grid b into its lines, tail lanes of a last axis that is not
+            # a multiple of L one by one
+            for b in range(u0 // stored, (u1 - 1) // stored + 1):
+                z0 = max(u0 - b * stored, 0)
+                z1 = min(u1 - b * stored, stored)
+                rows = slice(b * per_grid + z0 - pu0, b * per_grid + z1 - pu0)
+                src = acc_units[(slice(None), rows) + inner]
+                d = dest[b][z0:z1] if lead else dest[b][z0 * L : z1 * L]
+                nf = d.shape[-1] // L
+                np.copyto(
+                    d[..., : nf * L].reshape(
+                        d.shape[:-1] + (nf, L), copy=False
+                    ),
+                    src[..., :nf].transpose(*range(1, src.ndim), 0),
+                )
+                for t in range(d.shape[-1] - nf * L):
+                    d[..., nf * L + t] = src[t, ..., nf]
+            if emit is not None:
+                emit("mac.store", t_store, time.monotonic() - t_store)
+
+        ranges = split_ranges(n_units, n_ranges)
+        if n_ranges == 1:
+            sweep_range(0, 0, n_units)
+        else:
+            runner.map_tasks(
+                sweep_range,
+                [(k, u0, u1) for k, (u0, u1) in enumerate(ranges)],
+            )
+        op.record_issues(self.stream, sum(gemm_cols))
         if dest is None:
             # chained sweeps store straight into the padded centers, where
-            # the next sweep's pad finds them already in place
+            # the next sweep's pad finds them already in place; ranges read
+            # their neighbours' centers as sources, so the stores wait for
+            # every range to finish
             dest = [padded_grids[b][center] for b in range(B)]
-        # the one lane transpose per sweep: (L, *lead, chunks) anchors of
-        # grid b into its (*lead, n) lines, tail lanes of a last axis that
-        # is not a multiple of L one by one
-        n, lead = ws.n, ws.lead_shape
-        nf = n // L
-        acc_grids = acc.reshape((L, B) + ws.pad_lead + (chunks,))
-        interior = tuple(slice(0, s) for s in lead)
-        for b in range(B):
-            src = acc_grids[(slice(None), b) + interior]
-            d = dest[b]
-            np.copyto(
-                d[..., : nf * L].reshape(lead + (nf, L), copy=False),
-                np.moveaxis(src[..., :nf], 0, -1),
-            )
-            for t in range(n - nf * L):
-                d[..., nf * L + t] = src[t, ..., nf]
-        if emit is not None:
-            emit("mac.store", t_store, time.monotonic() - t_store)
+            runner.map_tasks(store_range, ranges)
         return dest
 
     def _pad_into(

@@ -115,8 +115,9 @@ class StencilService:
         resolves adaptively — ``REPRO_MAC_THREADS`` or
         ``cpu_count // workers``, so N shards never oversubscribe the
         machine; the sync fallback gets the whole machine.  Results are
-        bit-identical for every value (column blocks have independent
-        per-element reductions); the effective count is exposed as
+        bit-identical for every value (each output element is summed
+        inside the one output range that owns it); the effective count
+        is exposed as
         :attr:`mac_threads`, as a ``repro_serve_mac_threads`` gauge, and
         in the service report.  Every runner's threads stop with its
         owner: the shard's pool, the session, or :meth:`close`.

@@ -612,9 +612,10 @@ def format_service_report(stats: ServiceStats) -> str:
             )
         gemm = stats.stages.get("mac.gemm")
         if gemm is not None and t.batches:
-            # one mac.gemm span per column block, from whichever pool
-            # thread ran it — blocks/batch > 1 is the direct evidence the
-            # MAC actually spread over its thread budget on this box
+            # one mac.gemm span per column block of each output range,
+            # from the thread that ran the range; blocks/batch counts
+            # GEMM calls, not threads (a serial 1D sweep of 2**20 points
+            # issues 43 blocks), so the thread budget is printed beside it
             lines.append(
                 f"{'MAC gemm':<22} "
                 f"{gemm['total_s'] / t.batches * 1e3:.3f} ms/batch"

@@ -41,7 +41,7 @@ bit-pattern comparison of signed zeros.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -50,9 +50,6 @@ from .instruction import InstructionStream
 from .macpool import col_blocks
 from .mma import MmaPrecision
 from .mma_sp import MMA_SP_M16N8K16
-
-if TYPE_CHECKING:  # the runner lives one layer up, with the executor
-    from ..core.executor import SweepRunner
 
 __all__ = ["FusedStencilOperator"]
 
@@ -102,16 +99,14 @@ class FusedStencilOperator:
 
     The operator is immutable compiled data: it holds no thread pool, no
     scratch and no lock, so any number of threads may execute it at once.
-    Parallelism comes from the caller's runner (see :meth:`execute`).
+    Parallelism comes from the executor, which runs one output range of
+    a sweep per thread (see :meth:`execute`).
     """
 
     #: column block of the ordered MAC — sized so one block of operand,
-    #: input and output stays cache-resident
+    #: input and output stays cache-resident.  The executor also splits
+    #: a sweep of at least this many cells into per-thread output ranges.
     COL_BLOCK = 4096
-
-    #: floor on threaded subdivision: blocks narrower than this pay more
-    #: in dispatch than they win in overlap
-    MIN_COL_BLOCK = 64
 
     def __init__(
         self,
@@ -173,13 +168,12 @@ class FusedStencilOperator:
             cols = np.array([], dtype=np.int64)
         self.active_cols = cols
         self.kernel_compact = np.ascontiguousarray(act[:, cols])
-        #: window-column index feeding each compact X row (the strided
-        #: swap folded into the gather: X_swapped[i] = window column
-        #: permutation[active_cols[i]])
-        src = self.permutation[cols]
-        self.x_row_window = src
-        self.x_row_shift = src // self.L
-        self.x_row_lane = src % self.L
+        #: (chunk shift, lane) of the window column feeding each compact X
+        #: row — the strided swap folded into the gather: X_swapped[i] =
+        #: window column permutation[active_cols[i]]
+        self.x_row_taps = tuple(
+            divmod(int(w), self.L) for w in self.permutation[cols]
+        )
 
     # ------------------------------------------------------------------
     def __reduce__(self):
@@ -238,18 +232,16 @@ class FusedStencilOperator:
             + self.sparse.selection_indices().nbytes
         )
 
-    def _emit(
-        self, stream: Optional[InstructionStream], n_cols: int
-    ) -> None:
-        """Hardware-issue accounting for one fused GEMM call.
+    def record_issues(self, stream: InstructionStream, n_cols: int) -> None:
+        """Hardware-issue accounting for ``n_cols`` fused GEMM columns.
 
         Stacking rows into one operator packs them densely into m16 tiles,
         so the fused operator needs fewer ``mma.sp`` issues than the
         per-row loop (whose ragged ``L``-row operands each round up to a
-        full tile) — the instruction-level form of the fusion win.
+        full tile) — the instruction-level form of the fusion win.  The
+        executor records a sweep's columns once, from the calling thread,
+        after its ranges finish.
         """
-        if stream is None:
-            return
         shape = MMA_SP_M16N8K16
         issues = (
             -(-self.m_active // shape.m)
@@ -259,30 +251,6 @@ class FusedStencilOperator:
         stream.emit(
             "mma.sp" if self.use_sptc else "mma", shape.name, count=issues
         )
-
-    def _plan_blocks(
-        self, n: int, threads: int
-    ) -> Optional[List[Tuple[int, int]]]:
-        """Column blocks for a threaded MAC over ``n`` columns, or
-        ``None`` for the serial fast path.
-
-        Serial below the column-count threshold (``n < COL_BLOCK``: tiny
-        grids never pay pool dispatch) and whenever a single block would
-        result.  The threaded path subdivides :data:`COL_BLOCK` — never
-        below :data:`MIN_COL_BLOCK`, never below 2 — so every thread has
-        around two blocks to draw, which load-balances without perturbing
-        numerics (blocking is order-free, module docstring).
-        """
-        if threads < 2 or n < self.COL_BLOCK:
-            return None
-        block = min(
-            self.COL_BLOCK,
-            max(self.MIN_COL_BLOCK, -(-n // (2 * threads))),
-        )
-        blocks = col_blocks(n, max(2, block))
-        if len(blocks) < 2:
-            return None
-        return blocks
 
     def _gemm_block(
         self,
@@ -315,43 +283,28 @@ class FusedStencilOperator:
         self,
         x: np.ndarray,
         out: np.ndarray,
-        stream: Optional[InstructionStream] = None,
         emit: Optional[Callable[[str, float, float], None]] = None,
-        runner: Optional["SweepRunner"] = None,
     ) -> np.ndarray:
         """One fused ordered GEMM: ``K_all @ X`` for all active rows.
 
         ``x`` is the compact input matrix (``n_x_rows``, n) already in
         swapped row order and cast to the MAC dtype; ``out`` is the
         (``m_active``, n) destination (a workspace buffer).  The product
-        is evaluated in column blocks with the strictly ordered einsum
-        kernel (see the module docstring) — serially below the column
-        threshold or without a ``runner``, otherwise spread over the
-        runner's MAC pool (:class:`~repro.core.executor.SweepRunner`) as
-        disjoint ``out[:, c0:c1]`` slices; both paths are bit-identical
-        for any thread count and block width >= 2.  A trailing 1-wide
-        remainder block is always merged into its neighbour
-        (:func:`~repro.sptc.macpool.col_blocks`), since n = 1 is the one
-        einsum call shape with a different reduction kernel.
+        is evaluated in :data:`COL_BLOCK` column blocks with the strictly
+        ordered einsum kernel (see the module docstring), on the calling
+        thread: the executor runs one call per sub-block of each output
+        range, so threads execute disjoint calls at once.  Results are
+        bit-identical for any blocking of the columns with blocks >= 2
+        wide; a trailing 1-wide remainder block is always merged into its
+        neighbour (:func:`~repro.sptc.macpool.col_blocks`), since n = 1 is
+        the one einsum call shape with a different reduction kernel.
 
         ``emit`` (the executor's tracing stage hook) receives one
-        ``mac.gemm`` span per column block, recorded from whichever
-        thread ran the block.
+        ``mac.gemm`` span per column block, recorded from the thread that
+        ran the call.  Issue accounting is the caller's
+        (:meth:`record_issues`).
         """
-        n = x.shape[1]
         if self.m_active:
-            blocks = (
-                None
-                if runner is None
-                else self._plan_blocks(n, runner.threads)
-            )
-            if blocks is None:
-                for c0, c1 in col_blocks(n, self.COL_BLOCK):
-                    self._gemm_block(x, out, c0, c1, emit)
-            else:
-                runner.map_tasks(
-                    lambda c0, c1: self._gemm_block(x, out, c0, c1, emit),
-                    blocks,
-                )
-        self._emit(stream, n)
+            for c0, c1 in col_blocks(x.shape[1], self.COL_BLOCK):
+                self._gemm_block(x, out, c0, c1, emit)
         return out

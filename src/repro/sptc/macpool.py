@@ -1,19 +1,22 @@
-"""Persistent thread pool for the ordered MAC's column-block parallelism.
+"""Persistent thread pool for the fused sweep's output ranges.
 
-The fused operator's ``np.einsum`` kernel releases the GIL in its C core,
-so disjoint ``out[:, c0:c1]`` column blocks of one ``K_all @ X`` product
-can run concurrently on plain threads — and because each output element's
-reduction order is a function of the *w* axis alone (fixed by einsum,
-independent of operand shape, column offset or blocking), distributing
-blocks across threads cannot change any element's summation order.  The
+The executor cuts a large sweep into disjoint output ranges (leading-axis
+planes; 1D: chunks of the line) and runs each range's gather, ordered
+``K_all @ X`` GEMM, accumulator add and store as one task.  numpy's copy,
+``np.einsum`` and add kernels release the GIL in their C cores, so the
+ranges run concurrently on plain threads — and because each output
+element's reduction order is fixed (ascending *w* inside einsum's kernel,
+independent of operand shape, column offset or blocking; ascending kernel
+row across the adds of the one range that owns the element), splitting a
+sweep across threads cannot change any element's summation order.  The
 single shape einsum special-cases is one output column (n = 1 degenerates
-into its unrolled inner-product kernel), which is why
-:func:`col_blocks` never emits a 1-wide block.
+into its unrolled inner-product kernel), which is why :func:`col_blocks`
+never emits a 1-wide block.
 
 :class:`MacThreadPool` is deliberately not
 ``concurrent.futures.ThreadPoolExecutor``: the steady-state serving path
-must not allocate, and a Future per column block is garbage on every
-sweep.  Instead the pool keeps ``threads - 1`` persistent daemon helpers
+must not allocate, and a Future per task is garbage on every sweep.
+Instead the pool keeps ``threads - 1`` persistent daemon helpers
 parked on one condition variable; :meth:`MacThreadPool.run` publishes a
 task list, wakes them, *participates in the drain itself* (the caller is
 the Nth worker), and returns after a barrier — so total concurrency is
@@ -61,7 +64,7 @@ MAC_THREADS_ENV = "REPRO_MAC_THREADS"
 def resolve_mac_threads(
     requested: Optional[int] = None, shards: int = 1
 ) -> int:
-    """Effective MAC threads for one executor.
+    """Effective MAC threads for one runner.
 
     Resolution order: an explicit ``requested`` count wins outright (so a
     differential test pinning threads=1 vs threads=N is immune to the
@@ -215,8 +218,8 @@ class MacThreadPool:
         until every helper has left the generation; the first task
         exception (if any) is re-raised here.  Tasks must write to
         disjoint destinations — the pool provides no ordering between
-        them, which is exactly why only order-free work (independent
-        column blocks, per-grid pads, per-row gathers) is dispatched.
+        them, which is exactly why only order-free work (per-grid pads,
+        a sweep's disjoint output ranges) is dispatched.
         """
         with self._cond:
             if self._closed:

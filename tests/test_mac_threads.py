@@ -1,22 +1,23 @@
-"""Differential and lifecycle suite for the multi-threaded ordered MAC.
+"""Differential and lifecycle suite for the range-parallel fused sweep.
 
-The contract under test: spreading the fused ``K_all @ X`` product over
-column blocks on a runner's :class:`~repro.sptc.macpool.MacThreadPool`
-is **byte-identical** to the serial MAC for every thread count and block
-width >= 2 — each output element's einsum reduction order is a function
-of the w axis alone, so disjoint ``out[:, c0:c1]`` slices cannot perturb
-it.  The suite pins that identity across dims x precision x boundary
-conditions x steps on the thread, process and sync serving backends,
-plus the lifecycle contract of :class:`~repro.core.executor.SweepRunner`:
-plans hold no threads, pools start lazily and stop with their runner's
-owner, and fork safety.
+The contract under test: cutting a sweep into output ranges and running
+each range's gather, ordered ``K_all @ X`` GEMM, ascending-row add and
+store as one task on a runner's
+:class:`~repro.sptc.macpool.MacThreadPool` is **byte-identical** to the
+serial sweep for every thread count and column block width >= 2 — each
+output element's einsum reduction order is a function of the w axis
+alone, and its kernel rows add in ascending order inside the one range
+that owns it.  The suite pins that identity across dims x precision x
+boundary conditions x steps on the thread, process and sync serving
+backends, plus the lifecycle contract of
+:class:`~repro.core.executor.SweepRunner`: plans hold no threads, pools
+start lazily and stop with their runner's owner, and fork safety.
 
-Small grids take the serial fast path under the default 4096-column
-threshold, so the in-process differential cases lower
-``FusedStencilOperator.COL_BLOCK`` (:func:`_small_blocks`) — otherwise
-"threads=4" would silently test the serial loop twice.  Monkeypatching
-does not reach worker processes, so the serving cases use grids that
-cross the default threshold.
+A sweep under the default 4096-cell threshold runs as a single range, so
+the in-process differential cases lower ``FusedStencilOperator.COL_BLOCK``
+(:func:`_small_blocks`) — otherwise "threads=4" would silently test the
+serial sweep twice.  Monkeypatching does not reach worker processes, so
+the serving cases use grids that cross the default threshold.
 """
 
 import collections
@@ -213,9 +214,8 @@ def test_pool_needs_at_least_two_threads():
 # differential: executor, threads=1 vs threads=N byte-identical
 # ----------------------------------------------------------------------
 
-#: inputs big enough that the executor's gather and accumulator add run
-#: on the MAC pool too, not only the column-blocked GEMM; the 3D star has
-#: gapped active rows, a last axis that is not a multiple of L and
+#: inputs whose output ranges span several sub-blocks each; the 3D star
+#: has gapped active rows, a last axis that is not a multiple of L and
 #: several line blocks
 POOLED_CASES = [
     ("star", 2, 2, (400, 203)),
@@ -266,7 +266,7 @@ def test_threaded_mac_bit_identical(
         assert serial.dtype == threaded.dtype
         assert serial.tobytes() == threaded.tobytes(), (kind, bc)
     if (kind, dims, radius, shape) in POOLED_CASES:
-        assert ran["gather_rows"] and ran["add_rows"], dict(ran)
+        assert ran["sweep_range"], dict(ran)
 
 
 def test_block_width_never_perturbs_numerics():
@@ -283,7 +283,7 @@ def test_block_width_never_perturbs_numerics():
 
 def test_batched_sweeps_bit_identical_under_threads(monkeypatch):
     """run_batch (the serving execution shape) is thread-invariant too,
-    including batches big enough to pad, gather and add on the pool."""
+    including batches big enough to pad on the pool as well."""
     ran = _spy_pool(monkeypatch)
     rng = np.random.default_rng(21)
     spec = make_star_kernel(2, 2, rng)
@@ -299,7 +299,7 @@ def test_batched_sweeps_bit_identical_under_threads(monkeypatch):
                 assert ex.run_batch(grids, threaded).tobytes() == want
     finally:
         threaded.close()
-    assert ran["pad_one"] and ran["gather_rows"] and ran["add_rows"], dict(ran)
+    assert ran["pad_one"] and ran["sweep_range"], dict(ran)
 
 
 def test_one_plan_swept_concurrently_on_own_runners():
@@ -344,6 +344,65 @@ def test_one_plan_swept_concurrently_on_own_runners():
     assert wrong == [0] * len(grids)
 
 
+def test_one_grid_sweep_is_one_pool_dispatch(monkeypatch):
+    """A one-grid sweep runs gather, GEMM, add and store of each output
+    range as one task of a single pool dispatch: no stage dispatches on
+    its own (the pad of one grid stays on the calling thread)."""
+    runs = []
+    real_run = MacThreadPool.run
+
+    def run(self, fn, tasks):
+        runs.append((fn.__name__, len(tasks)))
+        return real_run(self, fn, tasks)
+
+    monkeypatch.setattr(MacThreadPool, "run", run)
+    rng = np.random.default_rng(17)
+    ex = SpiderExecutor(named_stencil("heat2d"))
+    grid = Grid.random((512, 512), rng)
+    runner = SweepRunner(2)
+    try:
+        threaded = ex.run(grid, runner)
+    finally:
+        runner.close()
+    assert runs == [("sweep_range", 2)]
+    assert threaded.tobytes() == _run_released(ex.spec, grid, 1).tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind,dims,radius,shape",
+    [
+        ("box", 1, 2, (61,)),
+        ("box", 2, 2, (26, 31)),
+        ("star", 3, 1, (9, 8, 13)),
+    ],
+    ids=["box1D-r2", "box2D-r2", "star3D-r1"],
+)
+def test_chained_sweeps_bit_identical_under_threads(kind, dims, radius, shape):
+    """``run_batch_steps`` stores each intermediate into the padded
+    centers, which neighbouring ranges still read as sources, so those
+    stores wait until every range has finished: three chained sweeps of
+    range-split grids match the serial chain byte for byte, for one grid
+    and for a batch whose ranges cross grids, under every BC (ZERO takes
+    the center-only repad)."""
+    rng = np.random.default_rng(dims * 100 + radius)
+    make = make_box_kernel if kind == "box" else make_star_kernel
+    ex = SpiderExecutor(make(dims, radius, rng))
+    serial, threaded = SweepRunner(1), SweepRunner(3)
+    try:
+        for bc in ALL_BCS:
+            for batch in (1, 2):
+                grids = [
+                    Grid(rng.standard_normal(shape), bc) for _ in range(batch)
+                ]
+                with _small_blocks():
+                    want = ex.run_batch_steps(grids, 3, runner=serial)
+                    got = ex.run_batch_steps(grids, 3, runner=threaded)
+                for a, b in zip(want, got):
+                    assert a.tobytes() == b.tobytes(), (bc, batch)
+    finally:
+        threaded.close()
+
+
 def test_all_zero_kernel_skips_gemm_identically():
     """m_active == 0 (every kernel row compacted away): no GEMM is
     issued on either path and the output is exactly zero."""
@@ -358,7 +417,7 @@ def test_all_zero_kernel_skips_gemm_identically():
 
 
 @given(
-    dims=st.integers(1, 2),
+    dims=st.integers(1, 3),
     radius=st.integers(1, 2),
     side=st.integers(1, 9),
     threads=st.integers(2, 5),
