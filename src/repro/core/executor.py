@@ -2,7 +2,7 @@
 
 Three execution paths:
 
-* :class:`SpiderExecutor` ``.run()`` / ``.run_batch()`` — the *fused fast
+* :class:`SpiderExecutor` ``.run()`` / ``.sweep()`` — the *fused fast
   path*: at compile time every encoded kernel row is stacked into one
   precompiled block operator ``K_all`` (m = n_rows * L, see
   :class:`repro.sptc.fused.FusedStencilOperator`), and a sweep is one
@@ -55,7 +55,7 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -104,17 +104,11 @@ def set_stage_hook(
 
 
 def _rebuild_executor(
-    spec_dict: dict,
-    precision: str,
-    use_sptc: bool,
-    batch_rows: int,
+    spec_dict: dict, precision: str, use_sptc: bool
 ) -> "SpiderExecutor":
     """Unpickle hook for :class:`SpiderExecutor` (module-level for pickle)."""
     return SpiderExecutor(
-        StencilSpec.from_dict(spec_dict),
-        precision,
-        use_sptc=use_sptc,
-        batch_rows=batch_rows,
+        StencilSpec.from_dict(spec_dict), precision, use_sptc=use_sptc
     )
 
 
@@ -145,10 +139,6 @@ class FaithfulRunReport:
     def mma_sp_issues(self) -> int:
         return self.stream.count("mma.sp")
 
-    @property
-    def lds_issues(self) -> int:
-        return self.stream.count("lds")
-
 
 class _PlanWorkspace:
     """Preallocated buffers + precomputed row offsets for one geometry.
@@ -177,7 +167,11 @@ class _PlanWorkspace:
       ``(L, cells)`` block, lane-major like the GEMM output, so a grid's
       interior lines sit at their padded anchors.  Halo-position anchors
       are never stored, and a grid's trailing halo planes are never
-      computed.
+      computed;
+    * ``zero_halo`` — one flag per grid slot of ``padded``, true while
+      that slot's halos and structural x-pad hold zeros (false in a new
+      workspace): a ZERO-BC grid padded into a flagged slot writes only
+      its center.
     """
 
     __slots__ = (
@@ -198,6 +192,7 @@ class _PlanWorkspace:
         "x32_flat",
         "y_flat",
         "acc",
+        "zero_halo",
     )
 
     def __init__(
@@ -211,7 +206,7 @@ class _PlanWorkspace:
         n_x_rows: int,
         m_active: int,
         lead_offset_table: Sequence[Tuple[int, ...]],
-        batch_rows: int,
+        block_rows: int,
         threads: int,
         acc_dtype: type,
         fp16: bool,
@@ -233,11 +228,11 @@ class _PlanWorkspace:
             int(np.prod(self.pad_lead)) if self.pad_lead else 1
         )
         self.n_pad_lines = batch * self.pad_lines_per_grid
-        # one x / y slice per thread: its share of a `batch_rows`-line
+        # one x / y slice per thread: its share of a `block_rows`-line
         # block, but at least two GEMM column blocks (or the whole block),
         # since smaller numpy calls lose more to GIL hand-offs between
         # threads than they gain; in 2D/3D always whole lines
-        blk = min(batch_rows, self.n_pad_lines)
+        blk = min(block_rows, self.n_pad_lines)
         min_cols = 2 * FusedStencilOperator.COL_BLOCK
         if lead_shape:
             lines = max(
@@ -277,6 +272,7 @@ class _PlanWorkspace:
         self.acc = np.empty(
             L * self.n_pad_lines * self.chunks, dtype=acc_dtype
         )
+        self.zero_halo = [False] * batch
 
     def nbytes(self) -> int:
         total = self.padded.nbytes + self.y_flat.nbytes + self.acc.nbytes
@@ -299,8 +295,8 @@ class SweepRunner:
     * ``threads`` — the ordered MAC's thread budget, resolved by
       :func:`~repro.sptc.macpool.resolve_mac_threads` (``None`` =
       ``REPRO_MAC_THREADS`` or the usable core count);
-    * ``lock`` — held by the executor for the whole of each batch call
-      (a chained :meth:`SpiderExecutor.run_batch_steps` included), so
+    * ``lock`` — held by the executor for the whole of each
+      :meth:`SpiderExecutor.sweep` call (every step of a chained one), so
       threads sharing one runner take turns: its workspaces and its pool
       serve one sweep at a time;
     * workspaces — per executor, an LRU of :attr:`MAX_WORKSPACES` grid
@@ -441,21 +437,22 @@ class SpiderExecutor:
         True — strided-swapped kernel + ``mma.sp`` semantics (SPIDER);
         False — unswapped dense kernel matrix + dense ``mma`` semantics
         (the ablation variant *SPIDER w. TC*, §4.4).
-    batch_rows:
-        Line-block granularity of the fused pipeline (and of the per-row
-        reference path's X construction), to bound peak workspace memory
-        on large grids.
 
-    An executor holds only its compiled operands and geometry.  The
-    sweep entry points take a ``runner`` (:class:`SweepRunner`, default
-    :func:`default_runner`) that owns the workspaces, the MAC pool and
-    the thread count, so one executor serves any number of threads that
-    bring runners of their own.
+    An executor holds only its compiled operands and geometry.  Its two
+    sweep entry points, :meth:`run` and :meth:`sweep`, take a ``runner``
+    (:class:`SweepRunner`, default :func:`default_runner`) that owns the
+    workspaces, the MAC pool and the thread count, so one executor
+    serves any number of threads that bring runners of their own.
     """
 
     #: per-grid padded-element floor below which batch padding stays
     #: serial (a small pad loop is cheaper than pool dispatch)
     PAD_PARALLEL_MIN = 1 << 15
+
+    #: line-block granularity of the fused sweep's x / y staging buffers
+    #: (and of the per-row reference path's X construction), to bound
+    #: peak workspace memory on large grids
+    BATCH_ROWS = 512
 
     def __init__(
         self,
@@ -463,14 +460,10 @@ class SpiderExecutor:
         precision: str = MmaPrecision.EXACT,
         *,
         use_sptc: bool = True,
-        batch_rows: int = 512,
     ) -> None:
         self.spec = spec
         self.precision = MmaPrecision.validate(precision)
         self.use_sptc = use_sptc
-        self.batch_rows = int(batch_rows)
-        if self.batch_rows < 1:
-            raise ValueError("batch_rows must be >= 1")
         self.stream = InstructionStream()
 
         rows, self._lead_radius = _kernel_row_table(spec)
@@ -501,12 +494,7 @@ class SpiderExecutor:
         """
         return (
             _rebuild_executor,
-            (
-                self.spec.to_dict(),
-                self.precision,
-                self.use_sptc,
-                self.batch_rows,
-            ),
+            (self.spec.to_dict(), self.precision, self.use_sptc),
         )
 
     # ------------------------------------------------------------------
@@ -527,62 +515,66 @@ class SpiderExecutor:
     ) -> np.ndarray:
         """One stencil sweep; returns the updated interior.
 
-        A batch-of-one :meth:`run_batch` (the fused pipeline is the single
+        A batch-of-one :meth:`sweep` (the fused pipeline is the single
         implementation; batching a lone grid is bit-neutral).
         """
-        return self.run_batch([grid], runner)[0]
+        return self.sweep([grid], runner=runner)[0]
 
-    def run_batch(
-        self, grids: Sequence[Grid], runner: Optional[SweepRunner] = None
-    ) -> np.ndarray:
-        """Fused sweep over a batch of same-shape grids.
-
-        The grids are stacked along a leading batch axis *after* per-grid
-        halo padding (so boundary conditions never couple across requests)
-        and the whole batch then flows through the fused ``K_all @ X``
-        pipeline: one windowing pass over the padded lines, one GEMM per
-        line block spanning every kernel row and every request, and one
-        in-order accumulation pass per kernel row.
-
-        Returns an array of shape ``(len(grids), *grid_shape)`` whose
-        slice ``b`` is bit-identical to ``self.run(grids[b])`` — each X
-        column holds one output chunk of one padded line, and per output
-        element the reduction order is fixed (ascending swapped-k inside
-        the GEMM, ascending kernel row ``q`` across GEMM blocks), so
-        batching never perturbs the numerics.  Under ``fp16`` the result
-        is float32, accumulated in float32 throughout (see the module
-        docstring's numerics contract).  ``runner`` (default
-        :func:`default_runner`) supplies the scratch and the MAC threads.
-        """
-        grids, shape = self._validate_batch(grids)
-        out = np.empty((len(grids),) + shape, dtype=self.acc_dtype)
-        self._run_fused(grids, shape, out, runner)
-        return out
-
-    def run_batch_split(
+    def sweep(
         self,
         grids: Sequence[Grid],
+        *,
+        steps: int = 1,
         out: Optional[List[np.ndarray]] = None,
         runner: Optional[SweepRunner] = None,
     ) -> List[np.ndarray]:
-        """Fused sweep returning one freshly-owned array per request.
+        """``steps`` chained fused sweeps of a batch of same-shape grids;
+        returns one result array per grid.
 
-        Identical numerics to :meth:`run_batch`; the results are written
-        straight from the workspace accumulator into per-request
-        contiguous arrays, so a caller retaining one result neither pins a
-        whole-batch buffer nor pays a second copy (the serving worker's
-        old ``out.copy()``).
+        Each grid is halo-padded on its own (so boundary conditions never
+        couple across requests) into one stacked buffer, and the whole
+        batch then flows through the fused ``K_all @ X`` pipeline: one
+        windowing pass over the padded lines, one GEMM per line block
+        spanning every kernel row and every request, and one in-order
+        accumulation pass per kernel row.  Result ``b`` is bit-identical
+        to ``self.run(grids[b])`` — per output element the reduction
+        order is fixed (ascending swapped-k inside the GEMM, ascending
+        kernel row ``q`` across GEMM blocks), so batching never perturbs
+        the numerics.  Under ``fp16`` the results are float32, accumulated
+        in float32 throughout (see the module docstring's numerics
+        contract).
 
-        ``out`` supplies the per-request destination arrays instead of
-        allocating fresh ones — the shared-memory transport passes
-        slab-backed views here, so results are materialized directly into
-        shared memory with no intermediate buffer.
+        ``steps > 1`` is the temporal super-sweep, byte-identical to
+        sweeping, wrapping each result in a ``Grid`` with the same
+        boundary condition and sweeping again, ``steps`` times: every
+        sweep performs the same floating-point operations in the same
+        order, and the float64 re-wrap of fp16's float32 intermediates is
+        exact.  What the chain skips is the ``Grid`` construction,
+        re-validation and output allocation of each step: intermediates
+        are stored straight into the padded buffer's centers, where the
+        next step's pad finds them in place.
+
+        Results are written from the workspace accumulator straight into
+        per-grid contiguous arrays, fresh ones or the caller's ``out`` (the
+        shared-memory transport passes slab-backed views).  ``runner``
+        (default :func:`default_runner`) supplies the scratch and the MAC
+        threads; its lock is held for the whole chain, whose
+        intermediates live in its workspace.
         """
         grids, shape = self._validate_batch(grids)
+        if steps < 1:
+            raise ValueError(f"steps must be >= 1, got {steps}")
         outs = self._check_out(out, len(grids), shape)
-        self._run_fused(grids, shape, outs, runner)
+        runner = runner or default_runner()
+        sources = [(g.data, g.bc) for g in grids]
+        with runner.lock:
+            for _ in range(steps - 1):
+                views = self._sweep_sources(sources, shape, None, runner)
+                sources = [(v, g.bc) for v, g in zip(views, grids)]
+            self._sweep_sources(sources, shape, outs, runner)
         return outs
 
+    # -- fused internals ------------------------------------------------
     def _check_out(
         self,
         out: Optional[List[np.ndarray]],
@@ -611,61 +603,12 @@ class SpiderExecutor:
                 raise ValueError("out arrays must be C-contiguous")
         return list(out)
 
-    def run_batch_steps(
-        self,
-        grids: Sequence[Grid],
-        steps: int,
-        out: Optional[List[np.ndarray]] = None,
-        runner: Optional[SweepRunner] = None,
-    ) -> List[np.ndarray]:
-        """``steps`` chained sweeps of a batch — the temporal super-sweep.
-
-        Byte-identical to the client-visible alternative (run one sweep,
-        wrap each result in a ``Grid`` with the same boundary condition,
-        resubmit, ``steps`` times): every sweep performs the same
-        floating-point operations in the same order, and the intermediate
-        float64 re-wrap under ``fp16`` is bit-neutral because
-        float32→float64 widening is exact.  What the chained form *skips*
-        is the per-sweep serving overhead — per-grid ``Grid``
-        construction, batch re-validation, and a fresh whole-batch output
-        allocation + copy per sweep; intermediates are stored straight
-        into the padded buffer's centers, where the next sweep's halo pad
-        finds them in place.
-        """
-        grids, shape = self._validate_batch(grids)
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
-        bcs = [g.bc for g in grids]
-        sources: List[Tuple[np.ndarray, BoundaryCondition]] = [
-            (g.data, g.bc) for g in grids
-        ]
-        # a chained ZERO-BC sweep can skip re-writing the halo and
-        # structural pad: the previous sweep left them zero, only the
-        # center changes (value-dependent BCs re-pad fully every sweep)
-        all_zero = all(bc is BoundaryCondition.ZERO for bc in bcs)
-        pad_mode = "full"
-        outs = self._check_out(out, len(grids), shape)
-        runner = runner or default_runner()
-        # one hold for the whole chain: the intermediates live in the
-        # workspace's padded buffer, which another caller would pad over
-        with runner.lock:
-            for _ in range(steps - 1):
-                views = self._sweep_sources(
-                    sources, shape, None, runner, pad_mode
-                )
-                sources = list(zip(views, bcs))
-                if all_zero:
-                    pad_mode = "center"
-            self._sweep_sources(sources, shape, outs, runner, pad_mode)
-        return outs
-
-    # -- fused internals ------------------------------------------------
     def _validate_batch(
         self, grids: Sequence[Grid]
     ) -> Tuple[List[Grid], Tuple[int, ...]]:
         grids = list(grids)
         if not grids:
-            raise ValueError("run_batch needs at least one grid")
+            raise ValueError("sweep needs at least one grid")
         shape = grids[0].shape
         for g in grids:
             if g.dims != self.spec.dims:
@@ -694,47 +637,32 @@ class SpiderExecutor:
             n_x_rows=self._fused.n_x_rows,
             m_active=self._fused.m_active,
             lead_offset_table=self._lead_offset_table,
-            batch_rows=self.batch_rows,
+            block_rows=self.BATCH_ROWS,
             threads=threads,
             acc_dtype=self.acc_dtype,
             fp16=self.precision == MmaPrecision.FP16,
         )
 
-    def _run_fused(
-        self,
-        grids: List[Grid],
-        shape: Tuple[int, ...],
-        dest: Union[np.ndarray, List[np.ndarray]],
-        runner: Optional[SweepRunner],
-    ) -> None:
-        """One fused sweep into ``dest`` (a (B, *shape) array or B views)
-        on ``runner`` (default :func:`default_runner`), under its lock."""
-        runner = runner or default_runner()
-        with runner.lock:
-            self._sweep_sources(
-                [(g.data, g.bc) for g in grids], shape, dest, runner
-            )
-
     def _sweep_sources(
         self,
         sources: Sequence[Tuple[np.ndarray, BoundaryCondition]],
         shape: Tuple[int, ...],
-        dest: Union[np.ndarray, List[np.ndarray], None],
+        dest: Optional[List[np.ndarray]],
         runner: SweepRunner,
-        pad_mode: str = "full",
-    ) -> Union[np.ndarray, List[np.ndarray]]:
+    ) -> List[np.ndarray]:
         """One fused sweep of ``(data, bc)`` sources into ``dest``;
         returns the destinations.
 
-        The ``Grid``-free inner form shared by the single-sweep entry
-        points and the chained :meth:`run_batch_steps`.  ``dest=None``
-        stores the results into the centers of the workspace's padded
-        buffer and returns those per-grid views (valid until the next
-        sweep through this workspace pads over them — the chained path
-        feeds them to that very pad, whose center write is then a
-        self-assignment numpy skips).  ``pad_mode="center"`` rewrites only
-        the interior of the padded buffer, relying on halos a previous
-        ZERO-BC sweep already zeroed.  The caller holds ``runner.lock``.
+        The ``Grid``-free inner form of each step of :meth:`sweep`.
+        ``dest=None`` stores the results into the centers of the
+        workspace's padded buffer and returns those per-grid views (valid
+        until the next sweep through this workspace pads over them — a
+        chain feeds them to that very pad, whose center write is then a
+        self-assignment numpy skips).  A ZERO-BC grid whose slot still
+        holds zero halos (``_PlanWorkspace.zero_halo``) gets only its
+        center written; every other grid gets a full :meth:`_pad_into`,
+        which sets its slot's flag to whether its BC is ZERO.  The caller
+        holds ``runner.lock``.
 
         After the pad, the sweep is cut into output ranges of the units
         the store reads: leading-axis planes of each grid (1D: chunks of
@@ -769,17 +697,18 @@ class SpiderExecutor:
             t_pad = time.monotonic()
         # per-grid pads write disjoint padded_grids[b] slices, so large
         # batches spread over the MAC pool (order-free: no grid's halo
-        # reads another grid's buffer)
-        if pad_mode == "center":
+        # reads another grid's buffer).  Only pads write halos and the
+        # x-pad (chained stores write centers), so a slot a ZERO pad
+        # zeroed stays zero until a pad of another BC lands in it.
+        zero, zero_halo = BoundaryCondition.ZERO, ws.zero_halo
 
-            def pad_one(b: int) -> None:
-                padded_grids[b][center] = sources[b][0]
-
-        else:
-
-            def pad_one(b: int) -> None:
-                data, bc = sources[b]
+        def pad_one(b: int) -> None:
+            data, bc = sources[b]
+            if bc is zero and zero_halo[b]:
+                padded_grids[b][center] = data
+            else:
                 self._pad_into(data, bc, padded_grids[b])
+                zero_halo[b] = bc is zero
 
         if (
             runner.threads > 1
@@ -843,7 +772,7 @@ class SpiderExecutor:
             # row q+1's or in the same one, where rows add in ascending
             # q.  Ranges own disjoint anchor cells, so every element
             # still sums its rows in ascending q — the numerics contract
-            # — for any thread count, batch size and batch_rows.  (Rows
+            # — for any thread count, batch size and BATCH_ROWS.  (Rows
             # past the buffer feed only halo-position anchors; an
             # operator with no active rows leaves the range zero.)
             s, s_end = (
@@ -1000,10 +929,9 @@ class SpiderExecutor:
 
         Kept (allocations and all) as the equivalence oracle: the fused
         pipeline must reproduce this bit-for-bit wherever the platform
-        GEMM is stacking-deterministic, and the benchmark suite measures
-        the fused path's speedup against it.  Shares the numerics contract
-        of :meth:`run_batch` (float32 accumulation under fp16) and the
-        GEMM datapath (:meth:`FusedStencilOperator.row_gemm`).
+        GEMM is stacking-deterministic.  Shares the numerics contract of
+        :meth:`sweep` (float32 accumulation under fp16) and the GEMM
+        datapath (:meth:`FusedStencilOperator.row_gemm`).
         """
         grids, shape = self._validate_batch(grids)
         B = len(grids)
@@ -1030,8 +958,8 @@ class SpiderExecutor:
 
         for q in range(self.n_rows):
             lead_off = (0,) + self._lead_offsets(q)
-            for l0 in range(0, n_lines, self.batch_rows):
-                l1 = min(l0 + self.batch_rows, n_lines)
+            for l0 in range(0, n_lines, self.BATCH_ROWS):
+                l1 = min(l0 + self.BATCH_ROWS, n_lines)
                 src = self._gather_lines(
                     lines_view, full_lead, pad_lead, lead_off, l0, l1
                 )

@@ -3,7 +3,7 @@
 The serving runtime's second throughput lever (after plan caching) is
 *batch fusion*: requests that resolve to the same compile plan and grid
 shape can be stacked along a batch axis and pushed through one fused
-:meth:`~repro.core.executor.SpiderExecutor.run_batch` pass, amortizing the
+:meth:`~repro.core.executor.SpiderExecutor.sweep` pass, amortizing the
 per-sweep Python and GEMM-launch overhead across the whole batch — the same
 phase-amortization idea as the SUMMA compute model's overlapped pipeline
 (SNIPPETS.md).

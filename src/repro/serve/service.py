@@ -91,9 +91,12 @@ class StencilService:
     backend:
         Worker backend, ``"thread"`` (default) or ``"process"`` — see
         :class:`repro.serve.workers.WorkerPool`.  Results are bit-identical
-        across backends; ``"process"`` escapes the GIL entirely (per-shard
-        worker processes with private plan caches), the right choice on
-        multi-core hosts.  Ignored when ``workers == 0``.
+        across backends; ``"process"`` escapes the GIL (per-shard worker
+        processes with private plan caches) but has never measured ahead
+        of threads: 0.44x of them at ``cpu_count`` 1, and threads at
+        1.39-1.46x of it on the ``serve`` benchmark at ``cpu_count`` 2.  No
+        host with more cores has recorded a number.  Ignored when
+        ``workers == 0``.
     transport:
         How the process backend moves bulk grid/result bytes: ``"shm"``
         (default) writes them through per-shard shared-memory slabs and

@@ -154,10 +154,6 @@ class TelemetrySnapshot:
         return self.errors_by_stage.get("deadline", 0)
 
     @property
-    def mean_occupancy(self) -> float:
-        return self.occupancy["mean"]
-
-    @property
     def ipc_bytes_per_request(self) -> float:
         """Mean piped payload bytes per served request."""
         return self.ipc_payload_bytes / self.requests if self.requests else 0.0

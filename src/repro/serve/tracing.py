@@ -142,9 +142,6 @@ class SpanRecorder:
 
     # -- id allocation -------------------------------------------------
 
-    def next_span_id(self) -> int:
-        return next(self._ids)
-
     def new_ids(self) -> Tuple[int, int]:
         """A fresh (trace_id, root span_id) pair for a new request."""
         return next(self._ids), next(self._ids)

@@ -280,10 +280,13 @@ def execute_serve_batch(
     """
     plan = cache.get_or_build(key.base(), spec=spec)
     if key.steps == 1:
-        with stage_span("mac", args={"batch": len(grids)}):
-            return plan.executor.run_batch_split(grids, out, runner)
-    with stage_span("temporal_chain", args={"steps": key.steps}):
-        return plan.executor.run_batch_steps(grids, key.steps, out, runner)
+        span = stage_span("mac", args={"batch": len(grids)})
+    else:
+        span = stage_span("temporal_chain", args={"steps": key.steps})
+    with span:
+        return plan.executor.sweep(
+            grids, steps=key.steps, out=out, runner=runner
+        )
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ one owner is a :class:`~repro.core.executor.SweepRunner`; compiled plans
 never hold one:
 
 * **single caller** — ``run`` is never re-entered concurrently.  The
-  runner's ``lock``, held across each batch call, enforces this (and
+  runner's ``lock``, held across each sweep call, enforces this (and
   the same invariant for the runner's workspaces), so threads that
   share one runner take turns instead of interleaving;
 * **never pickled** — runners never cross a process boundary; each

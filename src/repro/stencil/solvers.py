@@ -53,7 +53,7 @@ class PlanExecutor:
     The callable contract matches :data:`Executor`, so any solver in this
     module (and :mod:`repro.stencil.multigrid`) can run through cached
     fused plans by default.  Execution goes through
-    ``plan.executor.run_batch_split([grid])`` — the same call
+    ``plan.executor.sweep([grid])`` — the same call
     :func:`repro.serve.workers.execute_serve_batch` makes for a coalesced
     batch — so a sequential solver chain driven by this executor is
     byte-identical to the same chain served through
@@ -122,7 +122,7 @@ class PlanExecutor:
         """One fused pass over same-shape grids (the serve batch path)."""
         grids = list(grids)
         plan = self.plan_for(spec, grids[0].shape)
-        return plan.executor.run_batch_split(grids, runner=self.runner)
+        return plan.executor.sweep(grids, runner=self.runner)
 
     def stats(self):
         """Plan-cache counters (hits/misses/evictions/workspace bytes,

@@ -72,11 +72,13 @@ class TestFastPathEquivalence:
         g = Grid.random((1, 3), rng)
         assert np.allclose(Spider(spec).run(g), naive_stencil(spec, g))
 
-    def test_batched_rows_consistent(self, rng):
+    def test_batched_rows_consistent(self, rng, monkeypatch):
         spec = make_box_kernel(2, 1, rng)
         g = Grid.random((64, 33), rng)
-        a = SpiderExecutor(spec, batch_rows=7).run(g)
-        b = SpiderExecutor(spec, batch_rows=512).run(g)
+        with monkeypatch.context() as mp:
+            mp.setattr(SpiderExecutor, "BATCH_ROWS", 7)
+            a = SpiderExecutor(spec).run(g)
+        b = SpiderExecutor(spec).run(g)
         assert np.allclose(a, b)
 
     @given(
@@ -117,10 +119,6 @@ class TestPrecisionModes:
     def test_bad_precision_rejected(self, rng):
         with pytest.raises(ValueError):
             Spider(make_box_kernel(1, 1, rng), precision="int8")
-
-    def test_bad_batch_rows_rejected(self, rng):
-        with pytest.raises(ValueError):
-            SpiderExecutor(make_box_kernel(1, 1, rng), batch_rows=0)
 
 
 class TestVariants:

@@ -68,7 +68,7 @@ def test_fused_bit_identical_to_reference(dims, r, kind, shape, precision, rng):
     for batch in (1, 3):
         grids = [Grid.random(shape, rng) for _ in range(batch)]
         ref = ex._reference_run(grids)
-        got = ex.run_batch(grids)
+        got = np.stack(ex.sweep(grids))
         assert got.dtype == ref.dtype
         assert np.array_equal(ref, got), (dims, r, kind, shape, precision, batch)
 
@@ -86,7 +86,7 @@ def test_fused_bit_identical_across_boundary_conditions(bc, rng):
     spec = make_box_kernel(2, 2, rng)
     ex = SpiderExecutor(spec)
     grids = [Grid.random((19, 27), rng, bc) for _ in range(2)]
-    assert np.array_equal(ex._reference_run(grids), ex.run_batch(grids))
+    assert np.array_equal(ex._reference_run(grids), ex.sweep(grids))
 
 
 @given(
@@ -107,7 +107,7 @@ def test_fused_bit_identity_property(dims, r, kind, batch, seed):
     precision = "fp16" if seed % 2 else "exact"
     ex = SpiderExecutor(spec, precision)
     grids = [Grid.random(shape, rng) for _ in range(batch)]
-    assert np.array_equal(ex._reference_run(grids), ex.run_batch(grids))
+    assert np.array_equal(ex._reference_run(grids), ex.sweep(grids))
 
 
 @pytest.mark.parametrize("precision", ["exact", "fp16"])
@@ -127,16 +127,18 @@ def test_fused_bit_identical_single_column_gemm(precision, rng):
             ex = SpiderExecutor(spec, precision)
             grids = [Grid.random((n,), rng)]
             assert np.array_equal(
-                ex._reference_run(grids), ex.run_batch(grids)
+                ex._reference_run(grids), ex.sweep(grids)
             ), (r, n)
 
 
-def test_fused_bit_identical_across_batch_rows_chunking(rng):
+def test_fused_bit_identical_across_batch_rows_chunking(rng, monkeypatch):
     """Line-block boundaries must not perturb a single bit."""
     spec = make_box_kernel(2, 2, rng)
     grids = [Grid.random((24, 20), rng) for _ in range(3)]
-    a = SpiderExecutor(spec, batch_rows=7).run_batch(grids)
-    b = SpiderExecutor(spec, batch_rows=512).run_batch(grids)
+    with monkeypatch.context() as mp:
+        mp.setattr(SpiderExecutor, "BATCH_ROWS", 7)
+        a = SpiderExecutor(spec).sweep(grids)
+    b = SpiderExecutor(spec).sweep(grids)
     assert np.array_equal(a, b)
 
 
@@ -149,7 +151,7 @@ def test_tc_variant_fused_consistency(rng):
     ex = SpiderExecutor(spec, use_sptc=False)
     grids = [Grid.random((24, 32), rng) for _ in range(4)]
     per_grid = np.stack([ex.run(g) for g in grids])
-    fused = ex.run_batch(grids)
+    fused = np.stack(ex.sweep(grids))
     assert np.array_equal(per_grid, fused)
     assert np.allclose(ex._reference_run(grids), fused, rtol=1e-12, atol=0)
 
@@ -242,12 +244,12 @@ def test_workspace_reused_across_calls(rng):
     ex = SpiderExecutor(spec)
     runner = SweepRunner(1)
     grids = [Grid.random((32, 40), rng) for _ in range(3)]
-    ex.run_batch(grids, runner)
+    ex.sweep(grids, runner=runner)
     assert runner._workspace_builds == 1
     ws = next(iter(runner._arenas[ex].values()))
     buffers = (ws.padded, ws.x_flat, ws.y_flat, ws.acc)
     for _ in range(3):
-        ex.run_batch([Grid.random((32, 40), rng) for _ in range(3)], runner)
+        ex.sweep([Grid.random((32, 40), rng) for _ in range(3)], runner=runner)
     assert runner._workspace_builds == 1  # steady state: no arena rebuilds
     ws2 = next(iter(runner._arenas[ex].values()))
     assert ws2 is ws
@@ -263,12 +265,12 @@ def test_workspace_grows_once_for_mixed_batch_sizes(rng):
     ex = SpiderExecutor(spec)
     runner = SweepRunner(1)
     shape = (24, 24)
-    ex.run_batch([Grid.random(shape, rng) for _ in range(4)], runner)
+    ex.sweep([Grid.random(shape, rng) for _ in range(4)], runner=runner)
     builds = runner._workspace_builds
     for batch in (1, 3, 2, 4, 1):
         grids = [Grid.random(shape, rng) for _ in range(batch)]
         assert np.array_equal(
-            ex._reference_run(grids), ex.run_batch(grids, runner)
+            ex._reference_run(grids), ex.sweep(grids, runner=runner)
         )
     assert runner._workspace_builds == builds
 
@@ -302,11 +304,11 @@ def test_run_batch_split_results_own_their_memory(rng):
     spec = named_stencil("heat2d")
     ex = SpiderExecutor(spec)
     grids = [Grid.random((16, 20), rng) for _ in range(3)]
-    outs = ex.run_batch_split(grids)
+    outs = ex.sweep(grids)
     assert all(o.flags["OWNDATA"] and o.flags["C_CONTIGUOUS"] for o in outs)
     kept = [o.copy() for o in outs]
     # a later batch through the same plan must not disturb earlier results
-    ex.run_batch_split([Grid.random((16, 20), rng) for _ in range(3)])
+    ex.sweep([Grid.random((16, 20), rng) for _ in range(3)])
     for a, b in zip(outs, kept):
         assert np.array_equal(a, b)
     for o, g in zip(outs, grids):
@@ -316,7 +318,7 @@ def test_run_batch_split_results_own_their_memory(rng):
 def test_run_batch_steps_matches_resubmit_chain(rng):
     """The chained multi-sweep is byte-identical to running one sweep,
     re-wrapping each result in a Grid with the same BC, and resubmitting —
-    across dims, BCs (the ZERO center-only repad fast path included),
+    across dims, BCs (the ZERO center-only pad included),
     batch sizes and precisions."""
     cases = [(1, (33,)), (2, (12, 18)), (3, (6, 7, 9))]
     for precision in ("exact", "fp16"):
@@ -328,21 +330,100 @@ def test_run_batch_steps_matches_resubmit_chain(rng):
                     grids = [
                         Grid.random(shape, rng, bc) for _ in range(batch)
                     ]
-                    chained = ex.run_batch_steps(grids, 3)
+                    chained = ex.sweep(grids, steps=3)
                     cur = grids
                     for _ in range(2):
-                        outs = ex.run_batch(cur)
+                        outs = ex.sweep(cur)
                         cur = [
                             Grid(outs[b], bc) for b in range(batch)
                         ]
-                    expect = ex.run_batch_split(cur)
+                    expect = ex.sweep(cur)
                     for a, b in zip(chained, expect):
                         assert a.dtype == b.dtype
                         assert a.tobytes() == b.tobytes(), (
                             precision, dims, bc, batch,
                         )
     with pytest.raises(ValueError):
-        ex.run_batch_steps([Grid.random((6, 7, 9), rng)], 0)
+        ex.sweep([Grid.random((6, 7, 9), rng)], steps=0)
+
+
+ZERO, PERIODIC, REFLECT, NEAREST = (
+    BoundaryCondition.ZERO,
+    BoundaryCondition.PERIODIC,
+    BoundaryCondition.REFLECT,
+    BoundaryCondition.NEAREST,
+)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize(
+    "kind,dims,radius,shape",
+    [
+        ("box", 1, 2, (61,)),
+        ("box", 2, 2, (26, 31)),
+        ("star", 3, 1, (9, 8, 13)),
+    ],
+    ids=["box1D-r2", "box2D-r2", "star3D-r1"],
+)
+def test_zero_sweep_after_other_bcs_matches_fresh_runner(
+    kind, dims, radius, shape, steps
+):
+    """A workspace slot pads only the center of a ZERO-BC grid while its
+    halos still hold zeros: in one runner, ZERO sweeps after REFLECT,
+    PERIODIC and NEAREST sweeps of the same shape, in batches that mix
+    BCs (and in a one-grid prefix of a two-grid workspace), match a fresh
+    serial runner byte for byte."""
+    rng = np.random.default_rng(dims * 10 + radius)
+    ex = SpiderExecutor(_make(dims, radius, kind, rng))
+    sequence = [
+        (ZERO, ZERO),
+        (REFLECT, ZERO),
+        (ZERO, ZERO),
+        (ZERO, PERIODIC),
+        (ZERO, ZERO),
+        (NEAREST, REFLECT),
+        (ZERO,),
+        (ZERO, ZERO),
+    ]
+    warm = SweepRunner(1)
+    for bcs in sequence:
+        grids = [Grid(rng.standard_normal(shape), bc) for bc in bcs]
+        want = ex.sweep(grids, steps=steps, runner=SweepRunner(1))
+        got = ex.sweep(grids, steps=steps, runner=warm)
+        for a, b in zip(want, got):
+            assert a.tobytes() == b.tobytes(), bcs
+    assert warm._workspace_builds == 1  # every sweep reused one workspace
+
+
+def test_warm_zero_slot_skips_the_halo_pad(monkeypatch, rng):
+    """A ZERO sweep through warm ZERO slots never calls ``_pad_into``; a
+    ZERO sweep after a REFLECT one calls it once per grid (once per grid
+    for a whole chain, whose later steps find the halos zeroed)."""
+    pads = []
+    real_pad_into = SpiderExecutor._pad_into
+
+    def spy(self, data, bc, dest):
+        pads.append(bc)
+        return real_pad_into(self, data, bc, dest)
+
+    monkeypatch.setattr(SpiderExecutor, "_pad_into", spy)
+    ex = SpiderExecutor(named_stencil("heat2d"))
+    runner = SweepRunner(1)
+
+    def sweep(bc, steps=1):
+        grids = [Grid.random((15, 15), rng, bc) for _ in range(3)]
+        ex.sweep(grids, steps=steps, runner=runner)
+        calls = list(pads)
+        pads.clear()
+        return calls
+
+    assert sweep(ZERO) == [ZERO] * 3  # a new workspace pads in full
+    assert sweep(ZERO) == []
+    assert sweep(ZERO, steps=3) == []
+    assert sweep(REFLECT) == [REFLECT] * 3
+    assert sweep(ZERO) == [ZERO] * 3
+    sweep(REFLECT)
+    assert sweep(ZERO, steps=3) == [ZERO] * 3
 
 
 def test_pad_into_matches_np_pad(rng):

@@ -282,7 +282,7 @@ def test_block_width_never_perturbs_numerics():
 
 
 def test_batched_sweeps_bit_identical_under_threads(monkeypatch):
-    """run_batch (the serving execution shape) is thread-invariant too,
+    """A batch sweep (the serving execution shape) is thread-invariant too,
     including batches big enough to pad on the pool as well."""
     ran = _spy_pool(monkeypatch)
     rng = np.random.default_rng(21)
@@ -294,9 +294,10 @@ def test_batched_sweeps_bit_identical_under_threads(monkeypatch):
     serial, threaded = SweepRunner(1), SweepRunner(4)
     try:
         for grids in (small, big):
-            want = ex.run_batch(grids, serial).tobytes()
+            want = np.stack(ex.sweep(grids, runner=serial)).tobytes()
             with _small_blocks():
-                assert ex.run_batch(grids, threaded).tobytes() == want
+                got = np.stack(ex.sweep(grids, runner=threaded))
+                assert got.tobytes() == want
     finally:
         threaded.close()
     assert ran["pad_one"] and ran["sweep_range"], dict(ran)
@@ -378,12 +379,12 @@ def test_one_grid_sweep_is_one_pool_dispatch(monkeypatch):
     ids=["box1D-r2", "box2D-r2", "star3D-r1"],
 )
 def test_chained_sweeps_bit_identical_under_threads(kind, dims, radius, shape):
-    """``run_batch_steps`` stores each intermediate into the padded
+    """A chained ``sweep`` stores each intermediate into the padded
     centers, which neighbouring ranges still read as sources, so those
     stores wait until every range has finished: three chained sweeps of
     range-split grids match the serial chain byte for byte, for one grid
     and for a batch whose ranges cross grids, under every BC (ZERO takes
-    the center-only repad)."""
+    the center-only pad)."""
     rng = np.random.default_rng(dims * 100 + radius)
     make = make_box_kernel if kind == "box" else make_star_kernel
     ex = SpiderExecutor(make(dims, radius, rng))
@@ -395,8 +396,8 @@ def test_chained_sweeps_bit_identical_under_threads(kind, dims, radius, shape):
                     Grid(rng.standard_normal(shape), bc) for _ in range(batch)
                 ]
                 with _small_blocks():
-                    want = ex.run_batch_steps(grids, 3, runner=serial)
-                    got = ex.run_batch_steps(grids, 3, runner=threaded)
+                    want = ex.sweep(grids, steps=3, runner=serial)
+                    got = ex.sweep(grids, steps=3, runner=threaded)
                 for a, b in zip(want, got):
                     assert a.tobytes() == b.tobytes(), (bc, batch)
     finally:
@@ -496,24 +497,21 @@ def test_pool_created_lazily_and_only_when_parallel():
     assert live_mac_threads() == baseline
 
 
-def test_pickle_excludes_pool_and_ships_requested_values():
+def test_pickle_excludes_pool_and_ships_requested_values(monkeypatch):
     """A pickled executor ships only its compile inputs — never a pool
     or scratch, which belong to runners — and runs identically."""
+    monkeypatch.setattr(SpiderExecutor, "BATCH_ROWS", 7)
     rng = np.random.default_rng(5)
     spec = make_box_kernel(2, 2, rng)
     grid = Grid.random((14, 14), rng)
-    ex = SpiderExecutor(spec, "fp16", batch_rows=7)
+    ex = SpiderExecutor(spec, "fp16")
     runner = SweepRunner(3)
     try:
         with _small_blocks():
             expected = ex.run(grid, runner)
             assert runner._pool is not None
             clone = pickle.loads(pickle.dumps(ex))
-            assert (clone.precision, clone.use_sptc, clone.batch_rows) == (
-                "fp16",
-                True,
-                7,
-            )
+            assert (clone.precision, clone.use_sptc) == ("fp16", True)
             assert clone not in runner._arenas
             assert clone.run(grid, runner).tobytes() == expected.tobytes()
     finally:

@@ -1,4 +1,4 @@
-"""Batch fusion (`run_batch`) equivalence and batch-queue policy."""
+"""Batch fusion (`SpiderExecutor.sweep`) equivalence and batch-queue policy."""
 
 import time
 
@@ -17,7 +17,7 @@ from repro.stencil import (
 
 
 # ----------------------------------------------------------------------
-# run_batch
+# sweep
 # ----------------------------------------------------------------------
 
 BATCH_CASES = [
@@ -36,7 +36,7 @@ def test_run_batch_bit_identical_to_per_grid_run(name, shape, rng):
     ex = SpiderExecutor(named_stencil(name))
     grids = [Grid.random(shape, rng) for _ in range(5)]
     ref = np.stack([ex.run(g) for g in grids])
-    got = ex.run_batch(grids)
+    got = np.stack(ex.sweep(grids))
     assert got.shape == (5,) + shape
     assert np.array_equal(ref, got)
 
@@ -48,7 +48,7 @@ def test_run_batch_all_variants_and_precisions(variant, precision, rng):
     sp = Spider(spec, precision, variant)
     grids = [Grid.random((24, 32), rng) for _ in range(4)]
     ref = np.stack([sp.run(g) for g in grids])
-    got = sp.executor.run_batch(grids)
+    got = np.stack(sp.executor.sweep(grids))
     assert got.dtype == ref.dtype
     assert np.array_equal(ref, got)
 
@@ -56,25 +56,26 @@ def test_run_batch_all_variants_and_precisions(variant, precision, rng):
 def test_run_batch_singleton_matches_run(rng):
     ex = SpiderExecutor(make_star_kernel(2, 2, rng))
     g = Grid.random((19, 27), rng)
-    assert np.array_equal(ex.run_batch([g])[0], ex.run(g))
+    assert np.array_equal(ex.sweep([g])[0], ex.run(g))
 
 
-def test_run_batch_crosses_batch_rows_chunking(rng):
-    """Fused batches spanning multiple batch_rows chunks stay exact."""
-    ex = SpiderExecutor(named_stencil("heat2d"), batch_rows=16)
+def test_run_batch_crosses_batch_rows_chunking(rng, monkeypatch):
+    """Fused batches spanning multiple BATCH_ROWS chunks stay exact."""
+    monkeypatch.setattr(SpiderExecutor, "BATCH_ROWS", 16)
+    ex = SpiderExecutor(named_stencil("heat2d"))
     grids = [Grid.random((24, 20), rng) for _ in range(3)]  # 72 lines, 5 chunks
     ref = np.stack([ex.run(g) for g in grids])
-    assert np.array_equal(ref, ex.run_batch(grids))
+    assert np.array_equal(ref, ex.sweep(grids))
 
 
 def test_run_batch_input_validation(rng):
     ex = SpiderExecutor(named_stencil("heat2d"))
     with pytest.raises(ValueError):
-        ex.run_batch([])
+        ex.sweep([])
     with pytest.raises(ValueError):
-        ex.run_batch([Grid.random((16,), rng)])  # 1D grid, 2D executor
+        ex.sweep([Grid.random((16,), rng)])  # 1D grid, 2D executor
     with pytest.raises(ValueError):
-        ex.run_batch([Grid.random((16, 16), rng), Grid.random((16, 18), rng)])
+        ex.sweep([Grid.random((16, 16), rng), Grid.random((16, 18), rng)])
 
 
 # ----------------------------------------------------------------------
