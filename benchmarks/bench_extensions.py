@@ -94,7 +94,7 @@ def test_bench_sensitivity_sweep(benchmark):
     assert pts[0].avg_speedup
 
 
-def test_bench_temporal_super_step(benchmark, rng):
+def test_bench_fused_temporal_step(benchmark, rng):
     spec = named_stencil("heat2d")
     g = Grid.random((64, 64), rng)
     ts = TemporalSpider(spec, steps=2)

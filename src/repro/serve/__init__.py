@@ -61,7 +61,6 @@ from .telemetry import (
 from .tracing import (
     Span,
     SpanRecorder,
-    format_stage_table,
     stage_totals,
     to_chrome_trace,
     validate_chrome_trace,
@@ -106,7 +105,6 @@ __all__ = [
     "validate_prometheus_text",
     "Span",
     "SpanRecorder",
-    "format_stage_table",
     "stage_totals",
     "to_chrome_trace",
     "validate_chrome_trace",

@@ -12,8 +12,7 @@ much.  This module makes faults first-class, seeded data:
   batch order).
 * :class:`FaultPlan` — an immutable, JSON-serializable set of specs plus
   the seed.  ``StencilService(faults=plan)`` arms it (the plan, its dict
-  form, inline JSON or a path to a JSON file), and so does
-  ``serve-bench --faults``.
+  form, inline JSON or a path to a JSON file).
 * :class:`FaultInjector` — the runtime: all counters live parent-side
   (feeder / worker-thread / sync call sites ask ``should_fire`` per
   batch), so a respawned worker process can never double-count its
@@ -95,9 +94,8 @@ class FaultSpec:
     fires on the nth matching batch (1-based, per shard) and then on the
     next ``count - 1`` batches; ``rate=p`` draws a seeded Bernoulli per
     batch, capped at ``count`` total firings per shard (``count=None`` =
-    unbounded, the chaos-bench mode).  ``shard=None`` matches every
-    shard, with independent per-shard counters and RNG streams either
-    way.
+    unbounded).  ``shard=None`` matches every shard, with independent
+    per-shard counters and RNG streams either way.
     """
 
     kind: str
@@ -201,20 +199,6 @@ class FaultPlan:
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
         return cls.from_json(text)
-
-    @classmethod
-    def chaos(cls, rate: float, seed: int = 0) -> "FaultPlan":
-        """The ``serve-bench --fault-rate`` plan: seeded per-batch worker
-        kills (process backend) and transient execution failures (thread /
-        sync backends) at probability ``rate``, unbounded — supervision
-        and retry must keep absorbing them for the whole run."""
-        return cls(
-            faults=(
-                FaultSpec(kind="kill_worker", rate=rate, count=None),
-                FaultSpec(kind="fail_batch", rate=rate, count=None),
-            ),
-            seed=seed,
-        )
 
 
 @dataclass

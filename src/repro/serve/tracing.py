@@ -20,10 +20,9 @@ the current thread, and :func:`stage_span` inside any callee attaches to
 it — or no-ops at the cost of one TLS read when tracing is off.
 
 Exports: Chrome ``trace_event`` JSON (:func:`write_chrome_trace`,
-loadable in Perfetto / ``chrome://tracing``) and a per-stage
-time-attribution table (:func:`stage_totals`, :func:`format_stage_table`)
-— the measured per-stage constants the ROADMAP cost-model item fits
-against.
+loadable in Perfetto / ``chrome://tracing``) and per-stage time
+attribution (:func:`stage_totals`) — the measured per-stage constants
+the ROADMAP cost-model item fits against.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ __all__ = [
     "write_chrome_trace",
     "validate_chrome_trace",
     "stage_totals",
-    "format_stage_table",
     "execution_coverage",
 ]
 
@@ -489,25 +487,6 @@ def stage_totals(spans: Sequence[Span]) -> Dict[str, Dict[str, float]]:
     for agg in out.values():
         agg["mean_s"] = agg["total_s"] / agg["count"] if agg["count"] else 0.0
     return out
-
-
-def format_stage_table(
-    totals: Mapping[str, Mapping[str, float]], title: str = "stage attribution"
-) -> str:
-    """Fixed-width per-stage table, widest total first."""
-    lines = [f"== {title} =="]
-    lines.append(
-        f"  {'stage':<16} {'count':>8} {'total ms':>12} {'mean us':>12}"
-    )
-    for name, agg in sorted(
-        totals.items(), key=lambda kv: -kv[1]["total_s"]
-    ):
-        lines.append(
-            f"  {name:<16} {int(agg['count']):>8}"
-            f" {agg['total_s'] * 1e3:>12.3f}"
-            f" {agg['mean_s'] * 1e6:>12.1f}"
-        )
-    return "\n".join(lines)
 
 
 def execution_coverage(

@@ -39,7 +39,7 @@ Two interchangeable backends implement the shard loop:
     correctness never depends on slab capacity.
   * ``transport="queue"`` — every payload rides the mp queue as a pickled
     contiguous array (the pre-slab behaviour, kept as the portable
-    fallback and as the differential baseline the benchmarks compare
+    fallback and as the differential baseline the shm tests compare
     against).
 
   Both transports are byte-identical by construction: the transport moves
@@ -779,7 +779,7 @@ class WorkerPool:
         pre-self-healing fail-fast semantics.
     faults:
         A :class:`~repro.serve.faults.FaultPlan` to arm deterministic
-        fault injection against this pool (tests, chaos benchmarks).
+        fault injection against this pool (the chaos tests).
         All injection happens parent-side, so the schedule is replayable
         and survives worker respawns.
 

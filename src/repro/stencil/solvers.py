@@ -52,10 +52,10 @@ class PlanExecutor:
 
     The callable contract matches :data:`Executor`, so any solver in this
     module (and :mod:`repro.stencil.multigrid`) can run through cached
-    fused plans by default.  Execution goes through
-    ``plan.executor.sweep([grid])`` — the same call
+    fused plans by default.  Each call runs ``plan.executor.run(grid)``,
+    a one-grid ``sweep``: the same call
     :func:`repro.serve.workers.execute_serve_batch` makes for a coalesced
-    batch — so a sequential solver chain driven by this executor is
+    batch, so a sequential solver chain driven by this executor is
     byte-identical to the same chain served through
     :class:`~repro.serve.StencilService` on any backend.
 
@@ -114,15 +114,9 @@ class PlanExecutor:
     def __call__(self, spec: StencilSpec, grid) -> np.ndarray:
         if not isinstance(grid, Grid):
             grid = Grid(np.asarray(grid))
-        return self.run_batch(spec, [grid])[0]
-
-    def run_batch(
-        self, spec: StencilSpec, grids: Sequence[Grid]
-    ) -> List[np.ndarray]:
-        """One fused pass over same-shape grids (the serve batch path)."""
-        grids = list(grids)
-        plan = self.plan_for(spec, grids[0].shape)
-        return plan.executor.sweep(grids, runner=self.runner)
+        return self.plan_for(spec, grid.shape).executor.run(
+            grid, runner=self.runner
+        )
 
     def stats(self):
         """Plan-cache counters (hits/misses/evictions/workspace bytes,

@@ -1,6 +1,5 @@
-"""CLI additions: --version and the serve-bench subcommand."""
+"""CLI: --version and the commands README.md shows."""
 
-import json
 import shlex
 from pathlib import Path
 
@@ -43,78 +42,3 @@ def test_readme_commands_parse(capsys):
             parser.parse_args(argv)
         except SystemExit as exc:
             assert exc.code == 0 and argv == ["--version"], argv
-
-
-def test_serve_bench_smoke(capsys):
-    rc = main(
-        [
-            "serve-bench",
-            "--requests",
-            "60",
-            "--workers",
-            "2",
-            "--batch",
-            "8",
-            "--size",
-            "16x16",
-            "--shapes",
-            "heat2d, blur2d",  # whitespace after commas must be tolerated
-            "--json",
-        ]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "plan cache" in out
-    assert "throughput" in out
-    payload = json.loads(out[out.index("{"):])
-    assert payload["requests"] == 60
-    assert payload["errors"] == 0
-    assert 0.0 <= payload["cache_hit_rate"] <= 1.0
-
-
-def test_serve_bench_steps_smoke(capsys):
-    rc = main(
-        [
-            "serve-bench",
-            "--requests",
-            "24",
-            "--workers",
-            "2",
-            "--size",
-            "16x16",
-            "--shapes",
-            "heat2d",
-            "--steps",
-            "4",
-            "--json",
-        ]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "sweeps advanced" in out
-    assert "sweep throughput" in out
-    payload = json.loads(out[out.index("{"):])
-    assert payload["steps"] == 4
-    assert payload["sweeps"] == 24 * 4
-    assert payload["sweeps_per_s"] > payload["throughput_rps"]
-    assert payload["errors"] == 0
-
-
-def test_serve_bench_open_loop_smoke(capsys):
-    rc = main(
-        [
-            "serve-bench",
-            "--requests",
-            "20",
-            "--workers",
-            "2",
-            "--size",
-            "16x16",
-            "--shapes",
-            "heat2d",
-            "--rate",
-            "5000",
-        ]
-    )
-    assert rc == 0
-    assert "requests served        20" in capsys.readouterr().out

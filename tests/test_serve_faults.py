@@ -244,25 +244,39 @@ def test_worker_killed_holding_its_result_queue_lock_is_replaced():
     assert stats.telemetry.errors == 0
 
 
-def test_rate_chaos_thread_backend_zero_failures():
-    """Seeded fail_batch chaos on the thread backend: the retry rung
-    alone keeps the stream loss-free and bit-identical."""
+@pytest.mark.parametrize(
+    "backend, n, shape",
+    [("thread", 16, (16, 16)), ("process", 64, (24, 24))],
+    ids=["thread", "process"],
+)
+def test_rate_chaos_zero_failures(backend, n, shape):
+    """Seeded, unbounded chaos on two workers: fail_batch on the thread
+    backend, where the retry rung alone keeps the stream loss-free and
+    bit-identical; kill_worker on the process backend, where respawns,
+    rehashing and the inline rung do.  Process workers never run
+    fail_batch, and the inline rung injects nothing."""
     spec = named_stencil("heat2d")
-    grids = _grids(n=16)
+    grids = _grids(n=n, shape=shape)
     ref = _reference(spec, grids)
     plan = FaultPlan(
-        faults=(FaultSpec(kind="fail_batch", rate=0.3, count=None),),
+        faults=(
+            FaultSpec(kind="fail_batch", rate=0.3, count=None),
+            FaultSpec(kind="kill_worker", rate=0.3, count=None),
+        ),
         seed=5,
     )
     outs, stats = _serve_chaos(
-        spec, grids, faults=plan, backend="thread", workers=2
+        spec, grids, faults=plan, backend=backend, workers=2
     )
     for a, b in zip(ref, outs):
         assert a.tobytes() == b.tobytes()
     t = stats.telemetry
     assert t.errors == 0
     assert t.faults_injected >= 1
-    assert t.retries >= 1
+    if backend == "thread":
+        assert t.retries >= 1
+    else:
+        assert t.worker_restarts >= 1
 
 
 # ----------------------------------------------------------------------

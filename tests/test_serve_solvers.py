@@ -174,8 +174,8 @@ def test_early_exit_stops_before_iteration_cap(rng):
 
 
 def test_solve_stream_traffic_matches_reference(rng):
-    """The serve-bench solver traffic path end to end: a solve_stream
-    trace served concurrently equals the per-request references."""
+    """Solver traffic end to end: a solve_stream trace served
+    concurrently equals the per-request references."""
     wls = solver_workloads((2,))
     trace = list(solve_stream(wls, 4, tol=1e-7, max_iters=30, seed=3))
     refs = [
